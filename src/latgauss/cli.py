@@ -7,10 +7,12 @@ same config + seed reproduces the report byte for byte except the timestamp
 field. Module errors surface as machine-readable JSON on stdout with a
 nonzero exit code.
 
-Chains parallelize across a bounded thread pool sized by `jobs`; the
-counter-based noise stream keys every word on the absolute chain index, so
-the output is identical for every worker count. Report assembly stays
-single-threaded.
+`sample`, `compile` and `verify` share one path from config to chains
+(`pipeline.plan_pipeline` or `plan_truncated`, then `run_planned_chains`), so
+they consume noise counters exactly as the experiments do. `--jobs` and the
+`jobs` config key are still accepted and validated for older invocations;
+all chains run as one vectorized batch, and the counter-based stream keys
+every word on the absolute chain index, so no split could change a sample.
 """
 
 from __future__ import annotations
@@ -21,29 +23,29 @@ import hashlib
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from importlib import metadata
 
 import numpy as np
 
-from .compiler import compile_encoder, equivalence_deviation, load_encoder, manifest, save_encoder
+from .compiler import compile_encoder, equivalence_deviation, load_encoder, manifest, run_encoder, save_encoder
 from .config import RunConfig, load_config
-from .errors import LatgaussError, PlanTooLarge, VerificationError
+from .errors import LatgaussError, VerificationError
 from .experiments import (
     cir_comparison_experiment,
     compiled_vs_direct_experiment,
     exit_fraction_experiment,
+    exit_threshold,
     mixing_trend_experiment,
     posterior_tv_experiment,
+    tv_threshold,
 )
-from .invert import GdPlan, gd_invert, make_gd_plan
+from .invert import gd_invert, make_gd_plan
 from .lowerbound import demo_report
 from .models import write_samples_csv
 from .nets import as_linear
-from .pipeline import build_problem, plan_pipeline
+from .pipeline import build_problem, plan_pipeline, plan_truncated, run_planned_chains
 from .potential import diagnostics_report, refine_inverse, region_radius, set_inverse
 from .rng import NoiseStream
-from .sampler import PipelineStages, SamplerPlan, initialize_batch, make_sampler_plan, run_chains
 from .verify import build_grid_oracle, chi2_initialization, gaussian_moment_test, linear_posterior, tv_distance
 
 EQUIVALENCE_TOLERANCE = 1e-6
@@ -105,27 +107,6 @@ def _problem_from_config(cfg: RunConfig):
     )
 
 
-def _chunked_chains(problem, reg, plan, center, stream, stages, total: int, jobs: int):
-    """Run `total` chains split across `jobs` workers; output is order- and
-    worker-count-independent because noise counters key on absolute index."""
-    idx = np.arange(total, dtype=np.uint64)
-
-    def work(chunk):
-        Z0 = initialize_batch(problem, reg, center, stream, stages, chunk)
-        finals, exited, _ = run_chains(problem, reg, plan, Z0, stream, stages, chains=chunk)
-        return finals, exited
-
-    if jobs <= 1 or total < 2 * jobs:
-        parts = [work(idx)]
-    else:
-        chunks = np.array_split(idx, jobs)
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            parts = list(pool.map(work, chunks))
-    finals = np.concatenate([p[0] for p in parts], axis=0)
-    exited = np.concatenate([p[1] for p in parts], axis=0)
-    return finals, exited
-
-
 # -- subcommands --------------------------------------------------------------------
 
 
@@ -164,14 +145,11 @@ def cmd_invert(cfg: RunConfig) -> int:
 
 def cmd_sample(cfg: RunConfig) -> int:
     problem = _problem_from_config(cfg)
-    trace, reg, gd_plan, plan = plan_pipeline(
+    planned = plan_pipeline(
         problem, gd_max_steps=cfg.max_gd_steps, step_cap=cfg.max_langevin_steps
     )
-    stages = PipelineStages(gd_plan.steps, plan.steps)
-    stream = NoiseStream(cfg.seed + 1)
-    finals, exited = _chunked_chains(
-        problem, reg, plan, trace.final, stream, stages, cfg.samples, cfg.jobs
-    )
+    result = run_planned_chains(problem, planned, NoiseStream(cfg.seed + 1), cfg.samples)
+    finals = result.finals
 
     os.makedirs(cfg.out_dir, exist_ok=True)
     samples_path = os.path.join(cfg.out_dir, "samples.csv")
@@ -182,25 +160,25 @@ def cmd_sample(cfg: RunConfig) -> int:
     )
 
     n = cfg.samples
-    frac = float(exited.mean())
-    slack = 2.0 * float(np.sqrt(problem.epsilon / (4.0 * n)))
+    frac = float(result.exited.mean())
+    threshold = exit_threshold(problem.epsilon, n)
     exit_block = {
         "chains": n,
         "exit_fraction": frac,
         "bound": problem.epsilon / 4.0,
-        "threshold": problem.epsilon / 4.0 + slack,
-        "pass": bool(frac <= problem.epsilon / 4.0 + slack),
+        "threshold": threshold,
+        "pass": bool(frac <= threshold),
     }
 
     report = _report_header(cfg, "sample")
     report.update(
         {
             "plan": {
-                "gd_steps": gd_plan.steps,
-                "langevin_steps": plan.steps,
-                "h": plan.h,
-                "horizon": plan.horizon,
-                "init_radius": plan.init_radius,
+                "gd_steps": result.gd_plan.steps,
+                "langevin_steps": result.plan.steps,
+                "h": result.plan.h,
+                "horizon": result.plan.horizon,
+                "init_radius": result.plan.init_radius,
             },
             "samples_csv": samples_path,
             "exit": exit_block,
@@ -209,11 +187,8 @@ def cmd_sample(cfg: RunConfig) -> int:
     if problem.dim <= 2:
         oracle = build_grid_oracle(problem)
         tv = tv_distance(finals, oracle)
-        report["tv"] = {
-            "tv": float(tv),
-            "threshold": problem.epsilon / 2.0 + 0.03,
-            "pass": bool(tv <= problem.epsilon / 2.0 + 0.03),
-        }
+        tv_gate = tv_threshold(problem.epsilon)
+        report["tv"] = {"tv": float(tv), "threshold": tv_gate, "pass": bool(tv <= tv_gate)}
     else:
         report["tv"] = {"skipped": "grid oracle supports dimension 1 and 2 only"}
 
@@ -224,44 +199,23 @@ def cmd_sample(cfg: RunConfig) -> int:
 
 def cmd_compile(cfg: RunConfig) -> int:
     problem = _problem_from_config(cfg)
-    gd_steps = cfg.compile_opts.get("gd_steps", 10)
-    langevin_steps = cfg.compile_opts.get("langevin_steps", 50)
-    amortized = cfg.compile_opts.get("amortized", True)
-    if gd_steps > cfg.max_gd_steps:
-        raise PlanTooLarge(
-            "compile descent stage count exceeds the configured cap",
-            steps=gd_steps,
-            cap=cfg.max_gd_steps,
-        )
-    if langevin_steps > cfg.max_langevin_steps:
-        raise PlanTooLarge(
-            "compile chain stage count exceeds the configured cap",
-            steps=langevin_steps,
-            cap=cfg.max_langevin_steps,
-        )
-
-    base = make_gd_plan(problem, max_steps=cfg.max_gd_steps)
-    gd_plan = GdPlan(eta=base.eta, steps=gd_steps, Q=base.Q, delta=base.delta)
-    trace = gd_invert(problem, gd_plan, early_stop=False)
-    set_inverse(problem, trace.final, validate=False)
-    from .potential import region as region_of
-
-    reg = region_of(problem)
-    full = make_sampler_plan(problem, reg, step_cap=cfg.max_langevin_steps)
-    plan = SamplerPlan(
-        horizon=full.horizon,
-        h=full.h,
-        steps=langevin_steps,
-        init_radius=full.init_radius,
-        projected=False,
+    _, reg, gd_plan, plan = plan_truncated(
+        problem,
+        cfg.compile_opts.get("gd_steps", 10),
+        cfg.compile_opts.get("langevin_steps", 50),
+        gd_max_steps=cfg.max_gd_steps,
+        step_cap=cfg.max_langevin_steps,
     )
-    encoder = compile_encoder(problem, gd_plan, plan, amortized=amortized)
+    encoder = compile_encoder(
+        problem, gd_plan, plan, amortized=cfg.compile_opts.get("amortized", True)
+    )
 
     # Self-test gates the artifact: no encoder file unless the compiled network
     # reproduces the direct pipeline on shared noise.
     stream_seed = cfg.seed + 2
-    deviation = equivalence_deviation(
-        problem, reg, gd_plan, plan, encoder, NoiseStream(stream_seed), draws=16
+    draws = 16
+    deviation, compiled = equivalence_deviation(
+        problem, reg, gd_plan, plan, encoder, NoiseStream(stream_seed), draws=draws
     )
     if deviation > EQUIVALENCE_TOLERANCE:
         raise VerificationError(
@@ -273,11 +227,13 @@ def cmd_compile(cfg: RunConfig) -> int:
     os.makedirs(cfg.out_dir, exist_ok=True)
     encoder_path = os.path.join(cfg.out_dir, "encoder.json")
     save_encoder(encoder, encoder_path)
-    reloaded = load_encoder(encoder_path)
-    deviation_reloaded = equivalence_deviation(
-        problem, reg, gd_plan, plan, reloaded, NoiseStream(stream_seed), draws=16
+    reloaded = run_encoder(
+        load_encoder(encoder_path),
+        problem.x,
+        NoiseStream(stream_seed),
+        np.arange(draws, dtype=np.uint64),
     )
-    round_trip_ok = deviation_reloaded == deviation
+    round_trip_ok = bool(np.array_equal(reloaded, compiled))
 
     report = _report_header(cfg, "compile")
     report.update(
@@ -285,11 +241,11 @@ def cmd_compile(cfg: RunConfig) -> int:
             "manifest": manifest(encoder),
             "encoder_json": encoder_path,
             "self_test": {
-                "draws": 16,
+                "draws": draws,
                 "max_relative_deviation": float(deviation),
                 "tolerance": EQUIVALENCE_TOLERANCE,
                 "pass": True,
-                "round_trip_identical": bool(round_trip_ok),
+                "round_trip_identical": round_trip_ok,
             },
         }
     )
@@ -330,9 +286,10 @@ def cmd_verify(cfg: RunConfig) -> int:
                 f"unknown experiment {name!r}; choose from {sorted(_EXPERIMENTS)}"
             )
     problem = _problem_from_config(cfg)
-    trace, reg, gd_plan, plan = plan_pipeline(
+    planned = plan_pipeline(
         problem, gd_max_steps=cfg.max_gd_steps, step_cap=cfg.max_langevin_steps
     )
+    trace, reg = planned.trace, planned.region
     # the Taylor and Hessian checks expand around an exact stationary point;
     # the descent output is only within m * radius / 4, so polish it first.
     # chi2 below keeps trace.final: its subject is the actual chain start.
@@ -359,16 +316,12 @@ def cmd_verify(cfg: RunConfig) -> int:
     if linear is not None and problem.dim <= 4:
         A, b = linear
         mean, cov = linear_posterior(A, b, problem.beta, problem.x)
-        stages = PipelineStages(gd_plan.steps, plan.steps)
-        stream = NoiseStream(cfg.seed + 1)
         # the 10% covariance gate needs the sampling noise sqrt(2/n) well
         # below it; 4000 chains put the gate past three sigma after the
         # O(h) discretization bias
         moment_chains = max(cfg.chains, 4000)
-        finals, _ = _chunked_chains(
-            problem, reg, plan, trace.final, stream, stages, moment_chains, cfg.jobs
-        )
-        report["moments"] = gaussian_moment_test(finals, mean, cov)
+        result = run_planned_chains(problem, planned, NoiseStream(cfg.seed + 1), moment_chains)
+        report["moments"] = gaussian_moment_test(result.finals, mean, cov)
 
     failed = []
     if cfg.experiments:
@@ -420,6 +373,13 @@ _DISPATCH = {
 }
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="latgauss",
@@ -440,14 +400,19 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--config", required=True, help="path to the JSON run config")
         sp.add_argument("--seed", type=int, default=None, help="override the config seed")
         sp.add_argument("--out", default=None, help="override the output directory")
-        sp.add_argument("--jobs", type=int, default=None, help="worker pool size")
+        sp.add_argument(
+            "--jobs",
+            type=_positive_int,
+            default=None,
+            help="accepted for older invocations; chains run in one batch",
+        )
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = load_config(args.config, args.seed, args.out, args.jobs)
+        cfg = load_config(args.config, args.seed, args.out)
         return _DISPATCH[args.command](cfg)
     except LatgaussError as exc:
         print(json.dumps(exc.as_dict(), indent=2, sort_keys=True, default=_json_default))

@@ -51,10 +51,11 @@ from .nets import (
     Layer,
     Network,
 )
+from .invert import GdPlan, gd_invert
+from .pipeline import PipelinePlan, run_planned_chains
 from .potential import PosteriorProblem
 from .rng import ball_points
 from .sampler import PipelineStages, SamplerPlan
-from .invert import GdPlan
 
 _ID_TAG, _TANH_TAG, _SQ_TAG = "identity", "tanh", "square"
 
@@ -148,8 +149,6 @@ class _Builder:
 
 
 def _layer_tags(layer: Layer):
-    if layer.kind != "elementwise":
-        raise DimensionError("pairwise layers cannot be stacked side by side")
     return [ELEMENTWISE_ACTIVATIONS[c] for c in layer.codes]
 
 
@@ -729,20 +728,17 @@ def equivalence_deviation(
     encoder: CompiledEncoder,
     stream,
     draws: int = 16,
-) -> float:
+) -> tuple[float, np.ndarray]:
     """Max relative gap between compiled samples and the direct pipeline.
 
     Both sides share one noise stream; the direct side runs the full planned
-    descent (no early stop) because the encoder replays every stage.
+    descent (no early stop) because the encoder replays every stage. Returns
+    (deviation, compiled samples), so a caller can hold another encoder, such
+    as a reloaded artifact, to the same draws without rerunning the chains.
     """
-    from .invert import gd_invert
-    from .sampler import initialize_batch, run_chains
-
-    stages = encoder.stages
     trace = gd_invert(problem, gd_plan, early_stop=False)
-    idx = np.arange(draws, dtype=np.uint64)
-    Z0 = initialize_batch(problem, region, trace.final, stream, stages, idx)
-    direct, _, _ = run_chains(problem, region, plan, Z0, stream, stages, chains=idx)
-    compiled = run_encoder(encoder, problem.x, stream, idx)
+    planned = PipelinePlan(trace, region, gd_plan, plan)
+    direct = run_planned_chains(problem, planned, stream, draws).finals
+    compiled = run_encoder(encoder, problem.x, stream, np.arange(draws, dtype=np.uint64))
     gap = np.abs(compiled - direct)
-    return float(np.max(gap / (1.0 + np.abs(direct))))
+    return float(np.max(gap / (1.0 + np.abs(direct)))), compiled

@@ -24,7 +24,7 @@ Schema (JSON object):
     compile: { gd_steps: int, langevin_steps: int, amortized: bool }  # optional
     chains: int                        # default 1000 (sample command)
     samples: int                       # default 10000 (TV report)
-    jobs: int                          # default 1, bounded worker hint
+    jobs: int                          # accepted for older configs; chains run in one batch
     out_dir: str                       # default "out"
     experiments: [str, ...]            # verify command extras, default none
     lowerbound: { d, beta, rotation, mask, trials, closeness_samples }  # optional
@@ -75,7 +75,6 @@ class RunConfig:
     compile_opts: dict
     chains: int
     samples: int
-    jobs: int
     out_dir: str
     experiments: list
     lowerbound_opts: dict
@@ -100,8 +99,9 @@ class RunConfig:
         raise ConfigError(f"unknown builtin generator {name!r}")
 
 
-def load_config(path: str, seed_override: int | None = None, out_override: str | None = None,
-                jobs_override: int | None = None) -> RunConfig:
+def load_config(
+    path: str, seed_override: int | None = None, out_override: str | None = None
+) -> RunConfig:
     try:
         with open(path) as fh:
             raw = json.load(fh)
@@ -109,14 +109,13 @@ def load_config(path: str, seed_override: int | None = None, out_override: str |
         raise ConfigError(f"config file not found: {path}")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}")
-    return parse_config(raw, seed_override, out_override, jobs_override)
+    return parse_config(raw, seed_override, out_override)
 
 
 def parse_config(
     raw: dict,
     seed_override: int | None = None,
     out_override: str | None = None,
-    jobs_override: int | None = None,
 ) -> RunConfig:
     _require(isinstance(raw, dict), "config root must be a JSON object")
     _check_keys(
@@ -225,8 +224,6 @@ def parse_config(
 
     jobs = raw.get("jobs", 1)
     _require(isinstance(jobs, int) and jobs >= 1, "jobs must be a positive integer")
-    if jobs_override is not None:
-        jobs = jobs_override
 
     out_dir = raw.get("out_dir", "out")
     _require(isinstance(out_dir, str) and out_dir, "out_dir must be a nonempty string")
@@ -259,7 +256,6 @@ def parse_config(
         compile_opts=compile_opts,
         chains=chains,
         samples=samples,
-        jobs=jobs,
         out_dir=out_dir,
         experiments=experiments,
         lowerbound_opts=lb,

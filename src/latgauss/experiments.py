@@ -11,9 +11,26 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionError
-from .pipeline import PipelineResult, run_direct_pipeline
-from .potential import PosteriorProblem, grad_potential_batch
+from .pipeline import plan_pipeline, plan_truncated, run_direct_pipeline
+from .potential import PosteriorProblem
 from .verify import build_grid_oracle, tv_distance
+
+TV_BINNING_ALLOWANCE = 0.03
+
+
+def exit_slack(epsilon: float, chains: int) -> float:
+    """Binomial slack 2 sqrt(epsilon/(4n)) on an exit fraction over n chains."""
+    return 2.0 * float(np.sqrt(epsilon / (4.0 * chains)))
+
+
+def exit_threshold(epsilon: float, chains: int) -> float:
+    """Exit-fraction gate: the bound epsilon/4 plus binomial slack."""
+    return epsilon / 4.0 + exit_slack(epsilon, chains)
+
+
+def tv_threshold(epsilon: float) -> float:
+    """TV gate against a grid oracle: the bound epsilon/2 plus binning allowance."""
+    return epsilon / 2.0 + TV_BINNING_ALLOWANCE
 
 
 def exit_fraction_experiment(
@@ -25,13 +42,12 @@ def exit_fraction_experiment(
     """
     result = run_direct_pipeline(problem, stream, chains, projected=False, **pipeline_kwargs)
     frac = float(result.exited.mean())
-    slack = 2.0 * np.sqrt(problem.epsilon / (4.0 * chains))
-    threshold = problem.epsilon / 4.0 + slack
+    threshold = exit_threshold(problem.epsilon, chains)
     return {
         "chains": int(chains),
         "exit_fraction": frac,
         "bound": problem.epsilon / 4.0,
-        "slack": float(slack),
+        "slack": exit_slack(problem.epsilon, chains),
         "threshold": float(threshold),
         "pass": bool(frac <= threshold),
         "langevin_steps": result.plan.steps,
@@ -54,12 +70,12 @@ def posterior_tv_experiment(
     result = run_direct_pipeline(problem, stream, samples, projected=False, **pipeline_kwargs)
     oracle = build_grid_oracle(problem, points_per_axis)
     tv = tv_distance(result.finals, oracle)
-    threshold = problem.epsilon / 2.0 + 0.03
+    threshold = tv_threshold(problem.epsilon)
     return {
         "samples": int(samples),
         "tv": float(tv),
         "bound": problem.epsilon / 2.0,
-        "binning_allowance": 0.03,
+        "binning_allowance": TV_BINNING_ALLOWANCE,
         "threshold": float(threshold),
         "pass": bool(tv <= threshold),
         "exit_fraction": float(result.exited.mean()),
@@ -91,8 +107,6 @@ def mixing_trend_experiment(
     if problem.dim != 1:
         raise DimensionError("mixing trend experiment runs at dimension 1")
     if snapshot_steps is None:
-        from .pipeline import plan_pipeline
-
         _, _, gd_plan, plan = plan_pipeline(problem, projected=True, **pipeline_kwargs)
         K = plan.steps
         # log-spaced from the very first step: the chain relaxes in about
@@ -212,25 +226,10 @@ def compiled_vs_direct_experiment(
 ) -> dict:
     """Compile a truncated plan and report the shared-noise deviation."""
     from .compiler import compile_encoder, equivalence_deviation, manifest
-    from .invert import GdPlan, gd_invert, make_gd_plan
-    from .potential import region, set_inverse
-    from .sampler import SamplerPlan, make_sampler_plan
 
-    base = make_gd_plan(problem)
-    gd_plan = GdPlan(eta=base.eta, steps=gd_steps, Q=base.Q, delta=base.delta)
-    trace = gd_invert(problem, gd_plan, early_stop=False)
-    set_inverse(problem, trace.final)
-    reg = region(problem)
-    full = make_sampler_plan(problem, reg)
-    plan = SamplerPlan(
-        horizon=full.horizon,
-        h=full.h,
-        steps=langevin_steps,
-        init_radius=full.init_radius,
-        projected=False,
-    )
+    _, reg, gd_plan, plan = plan_truncated(problem, gd_steps, langevin_steps)
     encoder = compile_encoder(problem, gd_plan, plan, amortized=amortized)
-    deviation = equivalence_deviation(problem, reg, gd_plan, plan, encoder, stream, draws=draws)
+    deviation, _ = equivalence_deviation(problem, reg, gd_plan, plan, encoder, stream, draws=draws)
     report = manifest(encoder)
     report.update(
         {

@@ -50,7 +50,6 @@ class GdTrace:
     converged: bool
     steps_run: int
     final: np.ndarray
-    final_in_region: bool | None = None  # ||z_S - center|| <= radius when known
 
     def write_csv(self, path):
         with open(path, "w", newline="") as fh:
@@ -74,12 +73,6 @@ def make_gd_plan(
     Q = c.M**2 + 2.0 * np.sqrt(d) * c.M * c.M2 * (c.M / c.m + 1.0) * xnorm / c.m
     steps = int(np.ceil(Q * xnorm**2 / (c.m**4 * delta**2))) if xnorm > 0 else 1
     return GdPlan(eta=1.0 / Q, steps=min(steps, max_steps), Q=float(Q), delta=float(delta))
-
-
-def sweep_region_bound(problem: PosteriorProblem) -> float:
-    """Radius of the ball A that contains every descent iterate."""
-    c = problem.constants
-    return (c.M / c.m + 1.0) * float(np.linalg.norm(problem.x)) / c.m
 
 
 def gd_invert(

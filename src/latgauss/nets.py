@@ -4,13 +4,11 @@ A network is a chain of layers (weight matrix, bias vector, activation tags).
 Activations come in two groups:
 
 * smooth, differentiable: identity, tanh, square. Only these admit Jacobians.
-* evaluation-only: sign, and the pairwise reducers min2/max2 that map
-  consecutive entry pairs to their min/max (halving the layer width).
+* evaluation-only: sign.
 
-Elementwise activations may be assigned per neuron within one layer; this is
-what lets one layer carry a value unchanged while its neighbours squash
-theirs, and residual maps like z + a*tanh(z) depend on it. The pairwise
-reducers always apply to a whole layer.
+Activations may be assigned per neuron within one layer; this is what lets
+one layer carry a value unchanged while its neighbours squash theirs, and
+residual maps like z + a*tanh(z) depend on it.
 
 Evaluation is pure: no randomness, float64 throughout, and identical inputs
 produce bitwise identical outputs.
@@ -27,8 +25,6 @@ from .errors import DimensionError, InvertibilityError, UnsupportedDifferentiati
 
 SMOOTH_ACTIVATIONS = ("identity", "tanh", "square")
 ELEMENTWISE_ACTIVATIONS = ("identity", "tanh", "square", "sign")
-PAIRWISE_ACTIVATIONS = ("min2", "max2")
-ACTIVATIONS = ELEMENTWISE_ACTIVATIONS + PAIRWISE_ACTIVATIONS
 
 _CODE = {name: i for i, name in enumerate(ELEMENTWISE_ACTIVATIONS)}
 _ID, _TANH, _SQ, _SIGN = (_CODE[n] for n in ELEMENTWISE_ACTIVATIONS)
@@ -36,25 +32,19 @@ _ID, _TANH, _SQ, _SIGN = (_CODE[n] for n in ELEMENTWISE_ACTIVATIONS)
 FORMAT_TAG = "latgauss-network-v1"
 
 
-def _normalize_activation(act, rows: int):
-    """Return ('pairwise', tag) or ('elementwise', codes int8 array)."""
+def _activation_codes(act, rows: int) -> np.ndarray:
+    """Per-neuron int8 activation codes from one tag or a list of tags."""
     if isinstance(act, str):
-        if act in PAIRWISE_ACTIVATIONS:
-            if rows % 2 != 0:
-                raise DimensionError(f"{act} layer needs an even width, got {rows}")
-            return "pairwise", act
         if act not in ELEMENTWISE_ACTIVATIONS:
             raise ValueError(f"unknown activation {act!r}")
-        return "elementwise", np.full(rows, _CODE[act], dtype=np.int8)
+        return np.full(rows, _CODE[act], dtype=np.int8)
     tags = list(act)
     if len(tags) != rows:
         raise DimensionError(f"{len(tags)} activation tags for {rows} neurons")
     for t in tags:
-        if t in PAIRWISE_ACTIVATIONS:
-            raise ValueError("pairwise activations cannot be mixed per neuron")
         if t not in ELEMENTWISE_ACTIVATIONS:
             raise ValueError(f"unknown activation {t!r}")
-    return "elementwise", np.array([_CODE[t] for t in tags], dtype=np.int8)
+    return np.array([_CODE[t] for t in tags], dtype=np.int8)
 
 
 @dataclass
@@ -63,9 +53,10 @@ class Layer:
     bias: np.ndarray
     activation: object  # str, or sequence of per-neuron tags
 
-    # normalized fields, filled in __post_init__
-    kind: str = field(init=False)
-    codes: object = field(init=False, default=None)
+    # per-neuron activation codes and their (code, mask) groups, filled in
+    # __post_init__
+    codes: np.ndarray = field(init=False)
+    groups: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.weight = np.asarray(self.weight, dtype=np.float64)
@@ -76,11 +67,8 @@ class Layer:
             raise DimensionError("bias length must match weight rows")
         if not (np.all(np.isfinite(self.weight)) and np.all(np.isfinite(self.bias))):
             raise ValueError("non-finite layer parameters")
-        self.kind, payload = _normalize_activation(self.activation, self.weight.shape[0])
-        if self.kind == "elementwise":
-            self.codes = payload
-        else:
-            self.activation = payload
+        self.codes = _activation_codes(self.activation, self.weight.shape[0])
+        self.groups = _code_groups(self.codes)
 
     @property
     def in_dim(self) -> int:
@@ -92,32 +80,34 @@ class Layer:
 
     @property
     def out_dim(self) -> int:
-        return self.rows // 2 if self.kind == "pairwise" else self.rows
+        return self.rows
 
     def is_smooth(self) -> bool:
-        return self.kind == "elementwise" and not np.any(self.codes == _SIGN)
+        return not np.any(self.codes == _SIGN)
 
     def activation_tags(self):
-        if self.kind == "pairwise":
-            return self.activation
         tags = [ELEMENTWISE_ACTIVATIONS[c] for c in self.codes]
         return tags[0] if len(set(tags)) == 1 else tags
 
 
-def _apply_elementwise(u: np.ndarray, codes: np.ndarray) -> np.ndarray:
+def _code_groups(codes: np.ndarray) -> tuple:
+    """(code, mask) for each activation code present, in code order."""
+    return tuple((int(c), codes == c) for c in np.unique(codes))
+
+
+def _apply_elementwise(u: np.ndarray, groups: tuple) -> np.ndarray:
     """Activation applied along the last axis of u."""
-    first = codes[0]
-    if np.all(codes == first):
-        if first == _ID:
+    if len(groups) == 1:
+        code = groups[0][0]
+        if code == _ID:
             return u
-        if first == _TANH:
+        if code == _TANH:
             return np.tanh(u)
-        if first == _SQ:
+        if code == _SQ:
             return u * u
         return np.where(u >= 0.0, 1.0, -1.0)  # sign, with sign(0) = +1
     out = u.copy()
-    for code in np.unique(codes):
-        mask = codes == code
+    for code, mask in groups:
         if code == _TANH:
             out[..., mask] = np.tanh(u[..., mask])
         elif code == _SQ:
@@ -127,26 +117,28 @@ def _apply_elementwise(u: np.ndarray, codes: np.ndarray) -> np.ndarray:
     return out
 
 
-def _elementwise_derivative(u: np.ndarray, a: np.ndarray, codes: np.ndarray) -> np.ndarray:
-    """sigma'(u) along the last axis; `a` is sigma(u) from the forward pass."""
-    first = codes[0]
-    if np.all(codes == first):
-        if first == _ID:
-            return np.ones_like(u)
-        if first == _TANH:
-            return 1.0 - a * a
-        if first == _SQ:
-            return 2.0 * u
+def _times_derivative(delta: np.ndarray, u: np.ndarray, a: np.ndarray, groups: tuple) -> np.ndarray:
+    """delta * sigma'(u) along the last axis; `a` is sigma(u) from the forward
+    pass and u, a broadcast against delta.
+
+    Identity neurons have sigma' = 1, so their entries of delta pass through
+    unchanged instead of being multiplied by ones.
+    """
+    if any(code == _SIGN for code, _ in groups):
         raise UnsupportedDifferentiation("sign is not differentiable")
-    if np.any(codes == _SIGN):
-        raise UnsupportedDifferentiation("sign is not differentiable")
-    out = np.ones_like(u)
-    tanh_mask = codes == _TANH
-    sq_mask = codes == _SQ
-    if np.any(tanh_mask):
-        out[..., tanh_mask] = 1.0 - a[..., tanh_mask] ** 2
-    if np.any(sq_mask):
-        out[..., sq_mask] = 2.0 * u[..., sq_mask]
+    if len(groups) == 1:
+        code = groups[0][0]
+        if code == _ID:
+            return delta
+        if code == _TANH:
+            return delta * (1.0 - a * a)
+        return delta * (2.0 * u)
+    out = delta.copy()
+    for code, mask in groups:
+        if code == _TANH:
+            out[..., mask] *= 1.0 - a[..., mask] ** 2
+        elif code == _SQ:
+            out[..., mask] *= 2.0 * u[..., mask]
     return out
 
 
@@ -200,25 +192,21 @@ class Network:
         if state.ndim != 2 or state.shape[1] != self.input_dim:
             raise DimensionError(f"expected batch of shape (n, {self.input_dim})")
         for layer in self.layers:
-            u = state @ layer.weight.T + layer.bias
-            if layer.kind == "pairwise":
-                pairs = u.reshape(u.shape[0], -1, 2)
-                state = pairs.min(axis=2) if layer.activation == "min2" else pairs.max(axis=2)
-            else:
-                state = _apply_elementwise(u, layer.codes)
+            u = state @ layer.weight.T
+            u += layer.bias
+            state = _apply_elementwise(u, layer.groups)
         return state
 
     def _forward_tape(self, Z: np.ndarray):
         """Forward pass storing (preactivation, activation) per layer."""
         if not self.smooth:
-            raise UnsupportedDifferentiation(
-                "network contains sign/min2/max2 activations"
-            )
+            raise UnsupportedDifferentiation("network contains sign activations")
         state = np.asarray(Z, dtype=np.float64)
         tape = []
         for layer in self.layers:
-            u = state @ layer.weight.T + layer.bias
-            state = _apply_elementwise(u, layer.codes)
+            u = state @ layer.weight.T
+            u += layer.bias
+            state = _apply_elementwise(u, layer.groups)
             tape.append((u, state))
         return state, tape
 
@@ -239,21 +227,22 @@ class Network:
             np.eye(self.output_dim), (n, self.output_dim, self.output_dim)
         ).copy()
         for layer, (u, a) in zip(reversed(self.layers), reversed(tape)):
-            sigma = _elementwise_derivative(u, a, layer.codes)
-            delta = (delta * sigma[:, None, :]) @ layer.weight
+            delta = _times_derivative(delta, u[:, None, :], a[:, None, :], layer.groups)
+            delta = delta @ layer.weight
         return delta
 
     def vjp_batch(self, Z: np.ndarray, R: np.ndarray):
         """(value, J^T r) per batch row without forming the Jacobian.
 
-        R has shape (n, output_dim); the returned pullback has shape
-        (n, input_dim). This is the workhorse of batched potential gradients.
+        R has shape (n, output_dim), or is a function taking the forward values
+        to it, so that a residual G(Z) - x costs one forward pass; the
+        returned pullback has shape (n, input_dim). This is the workhorse of
+        batched potential gradients.
         """
         value, tape = self._forward_tape(Z)
-        delta = np.asarray(R, dtype=np.float64)
+        delta = np.asarray(R(value) if callable(R) else R, dtype=np.float64)
         for layer, (u, a) in zip(reversed(self.layers), reversed(tape)):
-            sigma = _elementwise_derivative(u, a, layer.codes)
-            delta = (delta * sigma) @ layer.weight
+            delta = _times_derivative(delta, u, a, layer.groups) @ layer.weight
         return value, delta
 
     # -- serialization ---------------------------------------------------------
@@ -370,7 +359,7 @@ def as_linear(net: Network):
     A = np.eye(net.input_dim)
     b = np.zeros(net.input_dim)
     for layer in net.layers:
-        if layer.kind != "elementwise" or np.any(layer.codes != _ID):
+        if np.any(layer.codes != _ID):
             return None
         b = layer.weight @ b + layer.bias
         A = layer.weight @ A
@@ -505,24 +494,21 @@ def estimate_constants(
     never smaller than the true inf for m); supply exact constants instead
     when they are known.
     """
-    from .rng import NoiseStream, ball_point
+    from .rng import NoiseStream, ball_points
 
     if not net.smooth:
         raise UnsupportedDifferentiation("constants are defined for smooth generators")
     stream = NoiseStream(seed)
     d = net.input_dim
-    points = np.empty((sample_count, d))
+    # sample i draws its point at (0, 2i) and its partner at (0, 2i+1)
+    draws = np.arange(sample_count, dtype=np.uint64)
+    even, odd = draws[0::2], draws[1::2]
+    points = ball_points(stream, 0, 2 * draws, d, radius)
     partners = np.empty((sample_count, d))
-    for i in range(sample_count):
-        z1 = ball_point(stream, stage=0, draw=2 * i, dim=d, radius=radius)
-        if i % 2 == 0:
-            z2 = ball_point(stream, stage=0, draw=2 * i + 1, dim=d, radius=radius)
-        else:
-            # nearby partner probes the local slope
-            offset = ball_point(stream, stage=0, draw=2 * i + 1, dim=d, radius=1.0)
-            z2 = z1 + 1e-3 * max(radius, 1e-6) * offset
-        points[i] = z1
-        partners[i] = z2
+    partners[0::2] = ball_points(stream, 0, 2 * even + 1, d, radius)
+    # odd samples take a nearby partner to probe the local slope
+    offsets = ball_points(stream, 0, 2 * odd + 1, d, 1.0)
+    partners[1::2] = points[1::2] + 1e-3 * max(radius, 1e-6) * offsets
     gap_in = np.linalg.norm(points - partners, axis=1)
     gap_out = np.linalg.norm(net.eval_batch(points) - net.eval_batch(partners), axis=1)
     keep = gap_in > 0

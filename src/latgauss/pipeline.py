@@ -1,21 +1,27 @@
-"""End-to-end orchestration: inversion, region, plan, chains, in one call.
+"""End-to-end orchestration: inversion, region, plan, chains.
 
-The CLI, the experiment suite, and the compiler equivalence test all need the
-same sequence; keeping it here keeps them byte-identical in how they consume
-noise counters.
+Every caller that runs chains goes through here: `plan_pipeline` (or
+`plan_truncated` for compiled encoders) fixes the descent, the region and
+both plans as one `PipelinePlan`, and `run_planned_chains` draws the ball
+starts and runs the Langevin chains on one batch. The CLI, the experiment
+suite and the compiler equivalence test therefore consume noise counters in
+exactly the same way.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
+from .errors import PlanTooLarge
 from .invert import GdPlan, GdTrace, gd_invert, make_gd_plan
 from .models import LatentGaussian
 from .nets import MapConstants, Network, estimate_constants
 from .potential import PosteriorProblem, RegionD, region, set_inverse
 from .sampler import (
+    STEP_CAP_DEFAULT,
     PipelineStages,
     SamplerPlan,
     initialize_batch,
@@ -45,6 +51,19 @@ def build_problem(
     return PosteriorProblem(model, x, constants, epsilon=epsilon)
 
 
+class PipelinePlan(NamedTuple):
+    """The deterministic half of the pipeline: descent record, region, plans."""
+
+    trace: GdTrace
+    region: RegionD
+    gd_plan: GdPlan
+    plan: SamplerPlan
+
+    @property
+    def stages(self) -> PipelineStages:
+        return PipelineStages(self.gd_plan.steps, self.plan.steps)
+
+
 @dataclass
 class PipelineResult:
     trace: GdTrace
@@ -66,7 +85,7 @@ def plan_pipeline(
     gd_max_steps: int = 1_000_000,
     step_cap: int | None = None,
     run_full_descent: bool = False,
-):
+) -> PipelinePlan:
     """Deterministic half of the pipeline: descent, region, both plans."""
     if gd_plan is None:
         gd_plan = make_gd_plan(problem, max_steps=gd_max_steps)
@@ -84,39 +103,70 @@ def plan_pipeline(
             init_radius=plan.init_radius,
             projected=projected,
         )
-    return trace, reg, gd_plan, plan
+    return PipelinePlan(trace, reg, gd_plan, plan)
 
 
-def run_direct_pipeline(
+def plan_truncated(
     problem: PosteriorProblem,
+    gd_steps: int,
+    langevin_steps: int,
+    gd_max_steps: int = 1_000_000,
+    step_cap: int = STEP_CAP_DEFAULT,
+) -> PipelinePlan:
+    """Plan for a compiled encoder: the planned step sizes, cut to fixed
+    stage counts.
+
+    Descent keeps the planned step 1/Q but runs exactly gd_steps steps with
+    no early stop, since the encoder replays every stage; the chain keeps the
+    full plan's h and start radius but runs langevin_steps steps, unprojected.
+    Both counts and the full Langevin plan must fit their caps.
+    """
+    if gd_steps > gd_max_steps:
+        raise PlanTooLarge(
+            "compile descent stage count exceeds the configured cap",
+            steps=gd_steps,
+            cap=gd_max_steps,
+        )
+    if langevin_steps > step_cap:
+        raise PlanTooLarge(
+            "compile chain stage count exceeds the configured cap",
+            steps=langevin_steps,
+            cap=step_cap,
+        )
+    base = make_gd_plan(problem, max_steps=gd_max_steps)
+    gd_plan = GdPlan(eta=base.eta, steps=gd_steps, Q=base.Q, delta=base.delta)
+    trace = gd_invert(problem, gd_plan, early_stop=False)
+    set_inverse(problem, trace.final, validate=False)
+    reg = region(problem)
+    full = make_sampler_plan(problem, reg, step_cap=step_cap)
+    plan = SamplerPlan(
+        horizon=full.horizon,
+        h=full.h,
+        steps=langevin_steps,
+        init_radius=full.init_radius,
+        projected=False,
+    )
+    return PipelinePlan(trace, reg, gd_plan, plan)
+
+
+def run_planned_chains(
+    problem: PosteriorProblem,
+    planned: PipelinePlan,
     stream,
     chains: int,
-    gd_plan: GdPlan | None = None,
-    plan: SamplerPlan | None = None,
-    projected: bool = False,
     snapshot_steps: list | None = None,
-    gd_max_steps: int = 1_000_000,
-    step_cap: int | None = None,
-    run_full_descent: bool = False,
 ) -> PipelineResult:
-    """invert -> region -> plan -> perturbed start -> Langevin chains.
+    """Perturbed starts and Langevin chains 0..chains-1, in one batch.
 
     Stage numbering: descent consumes no noise but owns stages 1..S, the ball
     perturbation sits at S+1, Langevin steps at S+2 and on. S is the PLANNED
     descent length even when early stopping cuts the run short, so plans with
     the same (eta, S, h, K) consume identical counters no matter how fast the
-    descent happened to converge.
+    descent happened to converge. Every word is keyed on the absolute chain
+    index, so any split of the chains would give the same samples.
     """
-    trace, reg, gd_plan, plan = plan_pipeline(
-        problem,
-        gd_plan=gd_plan,
-        plan=plan,
-        projected=projected,
-        gd_max_steps=gd_max_steps,
-        step_cap=step_cap,
-        run_full_descent=run_full_descent,
-    )
-    stages = PipelineStages(gd_plan.steps, plan.steps)
+    trace, reg, gd_plan, plan = planned
+    stages = planned.stages
     idx = np.arange(chains, dtype=np.uint64)
     Z0 = initialize_batch(problem, reg, trace.final, stream, stages, idx)
     finals, exited, snapshots = run_chains(
@@ -133,3 +183,28 @@ def run_direct_pipeline(
         exited=exited,
         snapshots=snapshots,
     )
+
+
+def run_direct_pipeline(
+    problem: PosteriorProblem,
+    stream,
+    chains: int,
+    gd_plan: GdPlan | None = None,
+    plan: SamplerPlan | None = None,
+    projected: bool = False,
+    snapshot_steps: list | None = None,
+    gd_max_steps: int = 1_000_000,
+    step_cap: int | None = None,
+    run_full_descent: bool = False,
+) -> PipelineResult:
+    """invert -> region -> plan -> perturbed start -> Langevin chains."""
+    planned = plan_pipeline(
+        problem,
+        gd_plan=gd_plan,
+        plan=plan,
+        projected=projected,
+        gd_max_steps=gd_max_steps,
+        step_cap=step_cap,
+        run_full_descent=run_full_descent,
+    )
+    return run_planned_chains(problem, planned, stream, chains, snapshot_steps=snapshot_steps)

@@ -92,8 +92,7 @@ def grad_potential_batch(problem: PosteriorProblem, Z: np.ndarray) -> np.ndarray
     """grad L(z) = z + J_G(z)^T (G(z) - x) / beta^2, batched via one backward pass."""
     g = problem.model.generator
     Z = np.asarray(Z, dtype=np.float64)
-    values, pullback = g.vjp_batch(Z, g.eval_batch(Z) - problem.x)
-    del values
+    _, pullback = g.vjp_batch(Z, lambda values: values - problem.x)
     return Z + pullback / problem.beta**2
 
 

@@ -41,9 +41,12 @@ def _splitmix64(x: np.ndarray) -> np.ndarray:
     """One SplitMix64 output word per input word (uint64, wrapping)."""
     with np.errstate(over="ignore"):
         z = x + _GOLDEN
-        z = (z ^ (z >> np.uint64(30))) * _MIX1
-        z = (z ^ (z >> np.uint64(27))) * _MIX2
-        return z ^ (z >> np.uint64(31))
+        z ^= z >> np.uint64(30)
+        z *= _MIX1
+        z ^= z >> np.uint64(27)
+        z *= _MIX2
+        z ^= z >> np.uint64(31)
+        return z
 
 
 def _as_word(value: int) -> np.uint64:
@@ -68,8 +71,8 @@ class NoiseStream:
     def _words(self, stage: int, draws: np.ndarray, components: np.ndarray) -> np.ndarray:
         """uint64 words, shape (len(draws), len(components))."""
         h1 = _splitmix64(self._h0 ^ _as_word(stage))
-        h2 = _splitmix64(h1 ^ draws[:, None].astype(np.uint64))
-        return _splitmix64(h2 ^ components[None, :].astype(np.uint64))
+        h2 = _splitmix64(h1 ^ np.asarray(draws, dtype=np.uint64)[:, None])
+        return _splitmix64(h2 ^ np.asarray(components, dtype=np.uint64)[None, :])
 
     # -- scalar-draw API --------------------------------------------------
 
@@ -87,25 +90,25 @@ class NoiseStream:
         draws = np.asarray(draws, dtype=np.uint64)
         comps = np.arange(n, dtype=np.uint64)
         words = self._words(stage, draws, comps)
-        return ((words >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+        u = (words >> np.uint64(11)).astype(np.float64)
+        u += 0.5
+        u *= 2.0**-53
+        return u
 
     def normal_matrix(self, stage: int, draws: np.ndarray, n: int) -> np.ndarray:
-        return ndtri(self.uniform_matrix(stage, draws, n))
-
-
-def ball_point(stream, stage: int, draw: int, dim: int, radius: float) -> np.ndarray:
-    """Uniform draw from the closed ball of given radius centered at 0.
-
-    Consumes dim+1 counter words at (stage, draw): components 0..dim-1 feed a
-    standard normal direction through the inverse CDF, component dim is the
-    radial uniform, scaled by u^(1/dim) so the draw is uniform in volume.
-    Delegates to the batched form so scalar and batched calls agree bitwise.
-    """
-    return ball_points(stream, stage, np.array([draw], dtype=np.uint64), dim, radius)[0]
+        u = self.uniform_matrix(stage, draws, n)
+        return ndtri(u, out=u)
 
 
 def ball_points(stream, stage: int, draws: np.ndarray, dim: int, radius: float) -> np.ndarray:
-    """Batched ball_point over the draw axis, shape (len(draws), dim)."""
+    """Uniform draws from the closed ball of given radius centered at 0,
+    one row per draw index, shape (len(draws), dim).
+
+    Each draw consumes dim+1 counter words at (stage, draw): components
+    0..dim-1 feed a standard normal direction through the inverse CDF,
+    component dim is the radial uniform, scaled by u^(1/dim) so the draw is
+    uniform in volume.
+    """
     words = stream.uniform_matrix(stage, np.asarray(draws, dtype=np.uint64), dim + 1)
     g = ndtri(words[:, :dim])
     norms = np.linalg.norm(g, axis=1, keepdims=True)

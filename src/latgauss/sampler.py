@@ -29,7 +29,6 @@ the compiled encoder's stage positions so both consume identical noise words.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,23 +79,6 @@ class PipelineStages:
         return self.gd_steps + self.langevin_steps + 3
 
 
-@dataclass
-class Chain:
-    """States of one chain, thinned; the final state is always stored."""
-
-    states: np.ndarray  # (k, d)
-    state_steps: np.ndarray  # Langevin step index of each stored state (0 = start)
-    exited: bool  # some state left D (always False for projected chains)
-    final: np.ndarray
-
-    def write_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["step"] + [f"z{j}" for j in range(self.states.shape[1])])
-            for s, row in zip(self.state_steps, self.states):
-                writer.writerow([int(s)] + [repr(float(v)) for v in row])
-
-
 def make_sampler_plan(
     problem: PosteriorProblem,
     region: RegionD,
@@ -144,24 +126,6 @@ def make_sampler_plan(
 # -- initialization ---------------------------------------------------------------
 
 
-def initialize(
-    problem: PosteriorProblem,
-    region: RegionD,
-    z_init: np.ndarray,
-    stream,
-    stages: PipelineStages,
-    chain: int = 0,
-) -> np.ndarray:
-    """z_init plus a uniform ball perturbation of radius rad/4.
-
-    Precondition (checked observably): ||G(z_init) - x|| <= m * rad/4, which
-    certifies ||z_init - zhat|| <= rad/4.
-    """
-    return initialize_batch(
-        problem, region, z_init, stream, stages, np.array([chain], dtype=np.uint64)
-    )[0]
-
-
 def initialize_batch(
     problem: PosteriorProblem,
     region: RegionD,
@@ -170,6 +134,12 @@ def initialize_batch(
     stages: PipelineStages,
     chains: np.ndarray,
 ) -> np.ndarray:
+    """z_init plus a uniform ball perturbation of radius rad/4, one row per
+    chain index.
+
+    Precondition (checked observably): ||G(z_init) - x|| <= m * rad/4, which
+    certifies ||z_init - zhat|| <= rad/4.
+    """
     z_init = np.asarray(z_init, dtype=np.float64)
     residual = float(np.linalg.norm(problem.model.generator.eval(z_init) - problem.x))
     allowed = problem.constants.m * region.radius / 4.0
@@ -185,26 +155,7 @@ def initialize_batch(
     return z_init[None, :] + noise
 
 
-# -- steps -------------------------------------------------------------------------
-
-
-def langevin_step(
-    problem: PosteriorProblem, z: np.ndarray, h: float, noise: np.ndarray
-) -> np.ndarray:
-    """One Euler step z - h grad L(z) + sqrt(2h) * noise."""
-    return langevin_step_batch(problem, np.asarray(z)[None, :], h, np.asarray(noise)[None, :])[0]
-
-
-def langevin_step_batch(
-    problem: PosteriorProblem, Z: np.ndarray, h: float, noise: np.ndarray
-) -> np.ndarray:
-    grad = grad_potential_batch(problem, Z)
-    if not np.all(np.isfinite(grad)):
-        bad = int(np.argmax(~np.all(np.isfinite(grad), axis=1)))
-        raise NumericalBlowup(
-            "non-finite potential gradient", state=np.asarray(Z)[bad].tolist()
-        )
-    return Z - h * grad + np.sqrt(2.0 * h) * noise
+# -- chains ------------------------------------------------------------------------
 
 
 def project_ball(Z: np.ndarray, center: np.ndarray, radius: float) -> np.ndarray:
@@ -213,48 +164,6 @@ def project_ball(Z: np.ndarray, center: np.ndarray, radius: float) -> np.ndarray
     norms = np.linalg.norm(offset, axis=-1, keepdims=True)
     scale = np.where(norms > radius, radius / np.maximum(norms, 1e-300), 1.0)
     return center + offset * scale
-
-
-def projected_step(
-    problem: PosteriorProblem,
-    region: RegionD,
-    z: np.ndarray,
-    h: float,
-    noise: np.ndarray,
-) -> np.ndarray:
-    stepped = langevin_step(problem, z, h, noise)
-    return project_ball(stepped, region.center, region.radius)
-
-
-# -- chains ------------------------------------------------------------------------
-
-
-def run_chain(
-    problem: PosteriorProblem,
-    region: RegionD,
-    plan: SamplerPlan,
-    z0: np.ndarray,
-    stream,
-    stages: PipelineStages,
-    chain: int = 0,
-    store_every: int | None = None,
-) -> Chain:
-    finals, exited, stored, stored_steps = _run_chains(
-        problem,
-        region,
-        plan,
-        np.asarray(z0, dtype=np.float64)[None, :],
-        stream,
-        stages,
-        np.array([chain], dtype=np.uint64),
-        store_every=store_every,
-    )
-    return Chain(
-        states=stored[:, 0, :],
-        state_steps=stored_steps,
-        exited=bool(exited[0]),
-        final=finals[0],
-    )
 
 
 def run_chains(
@@ -273,64 +182,24 @@ def run_chains(
     indices to state arrays. Chain c draws its step-k noise at counter
     (stages.langevin_stage(k), draw=chains[c]).
     """
-    Z0 = np.asarray(Z0, dtype=np.float64)
+    Z = np.asarray(Z0, dtype=np.float64).copy()
     if chains is None:
-        chains = np.arange(len(Z0), dtype=np.uint64)
+        chains = np.arange(len(Z), dtype=np.uint64)
+    want = {int(s) for s in snapshot_steps or ()}
     snapshots = {}
-    if snapshot_steps:
-        finals, exited, stored, stored_steps = _run_chains(
-            problem, region, plan, Z0, stream, stages, chains, snapshot_list=snapshot_steps
-        )
-        for idx, s in enumerate(stored_steps):
-            snapshots[int(s)] = stored[idx]
-    else:
-        finals, exited, _, _ = _run_chains(
-            problem, region, plan, Z0, stream, stages, chains, store_every=0
-        )
-    return finals, exited, snapshots
-
-
-def _run_chains(
-    problem,
-    region,
-    plan,
-    Z0,
-    stream,
-    stages,
-    chains,
-    store_every=None,
-    snapshot_list=None,
-):
-    K = plan.steps
-    if store_every is None:
-        store_every = max(1, int(np.ceil(K / 10_000)))
-    want = set()
-    if snapshot_list is not None:
-        want = {int(s) for s in snapshot_list}
-        store_every = 0
-    Z = Z0.copy()
     center, radius = region.center, region.radius
     sqrt2h = np.sqrt(2.0 * plan.h)
     exited = np.zeros(len(Z), dtype=bool)
-    stored, stored_steps = [], []
 
-    def maybe_store(step):
-        if snapshot_list is not None:
-            if step in want:
-                stored.append(Z.copy())
-                stored_steps.append(step)
-        elif store_every and step % store_every == 0:
-            stored.append(Z.copy())
-            stored_steps.append(step)
-
-    def check_exit():
+    def record(step):
         if not plan.projected:
             off = Z - center
             exited[np.einsum("ij,ij->i", off, off) > radius**2] = True
+        if step in want:
+            snapshots[step] = Z.copy()
 
-    check_exit()
-    maybe_store(0)
-    for k in range(K):
+    record(0)
+    for k in range(plan.steps):
         noise = stream.normal_matrix(stages.langevin_stage(k), chains, Z.shape[1])
         grad = grad_potential_batch(problem, Z)
         if not np.all(np.isfinite(grad)):
@@ -340,18 +209,13 @@ def _run_chains(
                 step=k,
                 state=Z[bad].tolist(),
             )
-        Z = Z - plan.h * grad + sqrt2h * noise
+        Z -= plan.h * grad
+        noise *= sqrt2h
+        Z += noise
         if plan.projected:
             Z = project_ball(Z, center, radius)
-        check_exit()
-        maybe_store(k + 1)
-
-    if snapshot_list is None and (not stored_steps or stored_steps[-1] != K):
-        stored.append(Z.copy())
-        stored_steps.append(K)
-    return Z, exited, np.array(stored) if stored else np.empty((0, *Z.shape)), np.array(
-        stored_steps, dtype=np.int64
-    )
+        record(k + 1)
+    return Z, exited, snapshots
 
 
 # -- Cox-Ingersoll-Ross by squared Ornstein-Uhlenbeck sums --------------------------

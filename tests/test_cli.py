@@ -5,6 +5,9 @@ import pytest
 from scipy.optimize import brentq
 
 from latgauss import cli
+from latgauss.nets import MapConstants, tanh_residual_net
+from latgauss.pipeline import build_problem, run_direct_pipeline
+from latgauss.rng import NoiseStream
 
 IDENTITY_CONSTANTS = {"m": 1.0, "M": 1.0, "M2": 0.0, "M3": 0.0}
 TANH_CONSTANTS = {"m": 1.0, "M": 1.5, "M2": 0.385, "M3": 1.0}
@@ -100,6 +103,33 @@ def test_sample_worker_count_does_not_change_output(tmp_path):
     assert run(["sample", "--config", cfgp, "--out", str(out1), "--jobs", "1"]) == 0
     assert run(["sample", "--config", cfgp, "--out", str(out4), "--jobs", "4"]) == 0
     assert (out1 / "samples.csv").read_bytes() == (out4 / "samples.csv").read_bytes()
+
+
+def test_sample_writes_direct_pipeline_finals(tmp_path):
+    # the CLI runs chains through the same path as run_direct_pipeline, on
+    # stream seed + 1, so its samples are the library's finals bit for bit
+    raw = {"generator": {"builtin": "tanh-residual", "alpha": 0.5}, "d": 1, "beta": 0.1,
+           "epsilon": 0.5, "x": [0.6], "constants": TANH_CONSTANTS, "samples": 40, "seed": 3}
+    cfgp = write_config(tmp_path, "c.json", raw)
+    out = tmp_path / "out"
+    assert run(["sample", "--config", cfgp, "--out", str(out), "--jobs", "2"]) == 0
+    problem = build_problem(
+        tanh_residual_net(1, 0.5), 0.1, np.array([0.6]), epsilon=0.5,
+        constants=MapConstants(**TANH_CONSTANTS),
+    )
+    want = run_direct_pipeline(problem, NoiseStream(4), 40).finals
+    got = np.loadtxt(out / "samples.csv", delimiter=",", skiprows=1, ndmin=2)
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("jobs", ["0", "-2", "two"])
+def test_jobs_flag_must_be_positive_integer(tmp_path, jobs):
+    cfgp = write_config(
+        tmp_path, "c.json",
+        {"generator": {"builtin": "identity"}, "d": 1, "beta": 0.1, "constants": IDENTITY_CONSTANTS},
+    )
+    with pytest.raises(SystemExit):
+        run(["invert", "--config", cfgp, "--out", str(tmp_path / "o"), "--jobs", jobs])
 
 
 def test_reports_deterministic_modulo_timestamp(tmp_path):

@@ -183,7 +183,7 @@ def compiled_setup(d=2, gd_steps=40, langevin_steps=150):
 def test_encoder_equivalence(amortized):
     problem, reg, gd_plan, plan = compiled_setup()
     enc = compile_encoder(problem, gd_plan, plan, amortized=amortized)
-    dev = equivalence_deviation(problem, reg, gd_plan, plan, enc, NoiseStream(20260819), draws=32)
+    dev, _ = equivalence_deviation(problem, reg, gd_plan, plan, enc, NoiseStream(20260819), draws=32)
     assert dev <= 1e-6
 
 

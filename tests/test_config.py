@@ -19,7 +19,7 @@ def test_minimal_config_defaults():
     assert cfg.constants_samples == 4096
     assert cfg.max_gd_steps == 10**6 and cfg.max_langevin_steps == 10**7
     assert cfg.chains == 1000 and cfg.samples == 10_000
-    assert cfg.jobs == 1 and cfg.out_dir == "out"
+    assert cfg.out_dir == "out"
     assert cfg.experiments == [] and cfg.lowerbound_opts == {}
 
 
@@ -72,9 +72,14 @@ def test_overrides_win():
         {**BASE, "seed": 5, "out_dir": "a", "jobs": 2},
         seed_override=9,
         out_override="b",
-        jobs_override=4,
     )
-    assert cfg.seed == 9 and cfg.out_dir == "b" and cfg.jobs == 4
+    assert cfg.seed == 9 and cfg.out_dir == "b"
+
+
+@pytest.mark.parametrize("jobs", [0, -1, 1.5, "2"])
+def test_jobs_must_be_positive_integer(jobs):
+    with pytest.raises(ConfigError, match="jobs"):
+        parse_config({**BASE, "jobs": jobs})
 
 
 def test_builtin_generators_build():

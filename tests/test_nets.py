@@ -127,6 +127,35 @@ def test_estimate_constants_prefix_monotone():
     assert large.M >= small.M - 1e-15
 
 
+def test_estimate_constants_draws_match_per_sample_loop():
+    # reference: one ball draw per call, sample i at draws 2i and 2i+1, with
+    # a nearby partner for odd i; the batched draw must agree bit for bit
+    from latgauss.rng import NoiseStream, ball_points
+
+    for net, radius in [(tanh_residual_net(1, 0.5), 4.9), (random_residual_tanh_net(3, seed=5), 5.5)]:
+        d = net.input_dim
+        stream = NoiseStream(6)
+
+        def one(draw, r):
+            return ball_points(stream, 0, np.array([draw], dtype=np.uint64), d, r)[0]
+
+        points, partners = [], []
+        for i in range(257):
+            z1 = one(2 * i, radius)
+            if i % 2 == 0:
+                z2 = one(2 * i + 1, radius)
+            else:
+                z2 = z1 + 1e-3 * max(radius, 1e-6) * one(2 * i + 1, 1.0)
+            points.append(z1)
+            partners.append(z2)
+        P, Q = np.array(points), np.array(partners)
+        ratios = np.linalg.norm(net.eval_batch(P) - net.eval_batch(Q), axis=1) / np.linalg.norm(
+            P - Q, axis=1
+        )
+        c = estimate_constants(net, sample_count=257, radius=radius, seed=6, tensor_points=0)
+        assert c.m == ratios.min() and c.M == ratios.max()
+
+
 def test_map_constants_validation():
     # m = 0 is representable (non-invertible generators exist); m > M is not
     MapConstants(m=0.0, M=1.0, M2=0.0, M3=0.0)

@@ -1,6 +1,6 @@
 import numpy as np
 
-from latgauss.rng import NoiseStream, ZeroStream, ball_point, ball_points
+from latgauss.rng import NoiseStream, ZeroStream, ball_points
 
 
 def test_repeatable_bitwise():
@@ -58,13 +58,6 @@ def test_ball_points_inside_and_nondegenerate():
     # uniform in the ball: E[r^3] = radius^3 / 2, so the median of (r/R)^3 is near 1/2
     frac = np.mean((r / 2.5) ** 3 <= 0.5)
     assert abs(frac - 0.5) <= 0.05
-
-
-def test_ball_point_matches_batch():
-    s = NoiseStream(12)
-    one = ball_point(s, 0, 7, 3, 2.5)
-    batch = ball_points(s, 0, np.array([7], dtype=np.uint64), 3, 2.5)
-    assert np.array_equal(one, batch[0])
 
 
 def test_zero_stream():

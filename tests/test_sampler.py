@@ -8,12 +8,9 @@ from latgauss.rng import NoiseStream, ZeroStream
 from latgauss.sampler import (
     PipelineStages,
     cir_concentration_bound,
-    initialize,
     initialize_batch,
-    langevin_step,
     make_sampler_plan,
     project_ball,
-    run_chain,
     run_chains,
     simulate_cir,
 )
@@ -88,25 +85,20 @@ def test_initialize_ball_and_precondition():
         initialize_batch(prob, reg, prob.zhat + 10.0, NoiseStream(3), stages, idx)
 
 
-def test_initialize_scalar_matches_batch():
-    prob = identity_problem(d=1, x=[0.3])
-    reg = prepared(prob)
-    stages = PipelineStages(2, 4)
-    one = initialize(prob, reg, prob.zhat, NoiseStream(5), stages, chain=3)
-    batch = initialize_batch(
-        prob, reg, prob.zhat, NoiseStream(5), stages, np.array([3], dtype=np.uint64)
-    )
-    assert np.array_equal(one, batch[0])
-
-
 def test_langevin_step_formula():
     prob = identity_problem(d=1, beta=1.0, x=[0.0])
     # grad L(z) = z + (z - x) = 2z at beta=1
-    z = np.array([1.0])
-    noise = np.array([0.7])
+    reg = synthetic_region([0.0], 10.0)
     h = 0.01
-    got = langevin_step(prob, z, h, noise)
-    assert np.allclose(got, z - h * 2.0 * z + np.sqrt(2 * h) * noise)
+    plan = make_sampler_plan(prob, reg, h_override=h)
+    one_step = truncated(plan, 1)
+    stages = PipelineStages(3, 1)
+    Z = np.array([[1.0], [-0.4], [0.25]])
+    idx = np.array([0, 5, 9], dtype=np.uint64)
+    stream = NoiseStream(4)
+    got, _, _ = run_chains(prob, reg, one_step, Z, stream, stages, chains=idx)
+    noise = stream.normal_matrix(stages.langevin_stage(0), idx, 1)
+    assert np.allclose(got, Z - h * 2.0 * Z + np.sqrt(2 * h) * noise)
 
 
 def test_project_ball():
@@ -160,18 +152,6 @@ def test_projected_chains_stay_inside():
     assert np.all(np.linalg.norm(finals - reg.center, axis=1) <= reg.radius + 1e-9)
     mid = snaps[plan.steps // 2]
     assert np.all(np.linalg.norm(mid - reg.center, axis=1) <= reg.radius + 1e-9)
-
-
-def test_single_chain_matches_batch():
-    prob = identity_problem(d=1, x=[0.4])
-    reg = prepared(prob)
-    plan = truncated(make_sampler_plan(prob, reg), 800)
-    stages = PipelineStages(1, plan.steps)
-    z0 = initialize(prob, reg, prob.zhat, NoiseStream(2), stages, chain=5)
-    chain = run_chain(prob, reg, plan, z0, NoiseStream(2), stages, chain=5)
-    Z0 = initialize_batch(prob, reg, prob.zhat, NoiseStream(2), stages, np.array([5], dtype=np.uint64))
-    finals, _, _ = run_chains(prob, reg, plan, Z0, NoiseStream(2), stages, chains=np.array([5], dtype=np.uint64))
-    assert np.array_equal(chain.final, finals[0])
 
 
 def test_noise_off_descends_to_mode():
