@@ -158,6 +158,8 @@ class Network:
                 )
             prev = layer.out_dim
         self.output_dim = prev
+        # layers are immutable once built, so this is fixed with them
+        self.smooth = all(l.is_smooth() for l in self.layers)
 
     # -- structure ---------------------------------------------------------
 
@@ -173,10 +175,6 @@ class Network:
         return int(
             sum(np.count_nonzero(l.weight) + np.count_nonzero(l.bias) for l in self.layers)
         )
-
-    @property
-    def smooth(self) -> bool:
-        return all(l.is_smooth() for l in self.layers)
 
     # -- evaluation ----------------------------------------------------------
 
@@ -407,39 +405,56 @@ def third_derivative_tensor(net: Network, z: np.ndarray, step: float = 1e-3) -> 
     return T
 
 
-def tensor_opnorm(T: np.ndarray, seed: int = 0, restarts: int = 4, iters: int = 40) -> float:
-    """sup over unit vectors of |T[u1, ..., up]| by alternating maximization."""
+def _row_norms(X: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of a 2-d array.
+
+    A stacked (1, n) @ (n, 1) product runs numpy's 1-d dot per row, the same
+    one np.linalg.norm uses on a vector, so each entry equals
+    np.linalg.norm(X[i]) bit for bit (a sum of squares or an einsum row dot
+    does not, once rows have two or more entries).
+    """
+    return np.sqrt((X[:, None, :] @ X[:, :, None])[:, 0, 0])
+
+
+def tensor_opnorm(T: np.ndarray, seed: int = 0, restarts: int = 4, iters: int = 40) -> np.ndarray:
+    """sup over unit vectors of |T_i[u1, ..., up]| for each tensor T_i of a batch,
+    by alternating maximization; T has shape (n, d1, ..., dp), the result (n,).
+
+    Every (restart, tensor) pair runs on one leading batch axis, with start
+    vectors drawn once from the seed and shared by all tensors. A pair whose
+    contraction vanishes skips the rest of that sweep only, and an all-zero
+    tensor gets 0.0. When all axes have one length, as the derivative
+    tensors of a map from R^d to R^d do, each result equals that of running
+    the iteration on the tensor alone bit for bit: the einsum contractions
+    and row norms round per pair as they would one at a time. (Where a
+    length-1 axis meets a length-2 one, numpy's einsum can sum a batch in
+    another order, so such shapes may differ in the last bit.)
+    """
     from .rng import NoiseStream
 
     T = np.asarray(T, dtype=np.float64)
-    if not np.any(T):
-        return 0.0
-    stream = NoiseStream(seed)
-    order = T.ndim
+    n, shape = T.shape[0], T.shape[1:]
+    order = len(shape)
     letters = "abcdefgh"[:order]
-    best = 0.0
-    for r in range(restarts):
-        vecs = []
+    vector = ["q" + l for l in letters]
+    stream = NoiseStream(seed)
+    stacked = np.concatenate([T] * restarts)  # row r * n + i holds T_i for restart r
+    vecs = []
+    for axis in range(order):
+        g = stream.normal_matrix(0, np.arange(restarts, dtype=np.uint64) * order + axis, shape[axis])
+        vecs.append(np.repeat(g / _row_norms(g)[:, None], n, axis=0))
+    for _ in range(iters):
+        active = np.ones(len(stacked), dtype=bool)  # rows not yet stopped this sweep
         for axis in range(order):
-            g = stream.normal(0, r * order + axis, T.shape[axis])
-            vecs.append(g / np.linalg.norm(g))
-        for _ in range(iters):
-            for axis in range(order):
-                sub = (
-                    letters
-                    + ","
-                    + ",".join(l for i, l in enumerate(letters) if i != axis)
-                    + "->"
-                    + letters[axis]
-                )
-                contracted = np.einsum(sub, T, *[v for i, v in enumerate(vecs) if i != axis])
-                norm = np.linalg.norm(contracted)
-                if norm == 0.0:
-                    break
-                vecs[axis] = contracted / norm
-        value = abs(np.einsum(letters + "," + ",".join(letters) + "->", T, *vecs))
-        best = max(best, value)
-    return float(best)
+            others = [i for i in range(order) if i != axis]
+            sub = ",".join(["q" + letters] + [vector[i] for i in others]) + "->" + vector[axis]
+            contracted = np.einsum(sub, stacked, *(vecs[i] for i in others))
+            norm = _row_norms(contracted)
+            active &= norm != 0.0
+            np.divide(contracted, norm[:, None], out=vecs[axis], where=active[:, None])
+    value = np.abs(np.einsum(",".join(["q" + letters] + vector) + "->q", stacked, *vecs))
+    # fmax passes over a NaN value as max(best, value) from best = 0.0 does
+    return np.fmax.reduce(value.reshape(restarts, n), axis=0, initial=0.0)
 
 
 # -- Lipschitz / smoothness constants -----------------------------------------
@@ -493,6 +508,14 @@ def estimate_constants(
     estimates of the true bounds (never larger than the true sup for M and
     never smaller than the true inf for m); supply exact constants instead
     when they are known.
+
+    M2 and M3 come from one batched tensor_opnorm call per derivative order
+    over the tensors at the first tensor_points sample points; for a map
+    from R^d to R^d they equal a loop over the points, one tensor at a
+    time, bit for bit. The tensors themselves come from one net.jacobian
+    call per finite-difference point: a single jacobian_batch over all of
+    them rounds some entries differently (BLAS multiplies one row and many
+    rows with different kernels).
     """
     from .rng import NoiseStream, ball_points
 
@@ -516,14 +539,12 @@ def estimate_constants(
     m_hat = float(ratios.min())
     M_hat = float(ratios.max())
 
-    M2_hat = 0.0
-    M3_hat = 0.0
-    for i in range(min(tensor_points, sample_count)):
-        z = points[i]
-        T2 = second_derivative_tensor(net, z)
-        M2_hat = max(M2_hat, tensor_opnorm(T2, seed=seed + 1))
-        T3 = third_derivative_tensor(net, z)
-        M3_hat = max(M3_hat, tensor_opnorm(T3, seed=seed + 2))
+    at = points[: min(tensor_points, sample_count)]
+    shape = (len(at), net.output_dim, d, d)  # reshape: an empty batch still has tensor axes
+    T2 = np.array([second_derivative_tensor(net, z) for z in at]).reshape(shape)
+    T3 = np.array([third_derivative_tensor(net, z) for z in at]).reshape(shape + (d,))
+    M2_hat = float(tensor_opnorm(T2, seed=seed + 1).max(initial=0.0))
+    M3_hat = float(tensor_opnorm(T3, seed=seed + 2).max(initial=0.0))
 
     return MapConstants(
         m=m_hat,

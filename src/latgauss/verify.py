@@ -57,6 +57,34 @@ class GridOracle:
             return np.log(self.density)
 
 
+_BLOCK_POINTS = 1 << 17  # about this many grid points per potential_batch call
+
+
+def _grid_log_density(problem: PosteriorProblem, axes: tuple) -> np.ndarray:
+    """-L on the grid spanned by axes, flat in C order, in blocks of grid rows
+    (first-axis values) of about _BLOCK_POINTS points each, so the
+    temporaries stay small at d=2.
+
+    Blocks start at multiples of 64 points and the last one takes the
+    remainder, one to two blocks' worth, so no block is a lone point: BLAS
+    then runs the same kernels on every row as one call on the whole grid
+    would, and the values equal that call's bit for bit. (A d=1 grid of
+    2^18 or more points under multithreaded BLAS is the exception: the
+    threads split a matrix-vector product at other rows, which can move a
+    few values by an ulp.)
+    """
+    n = len(axes[0])
+    row_points = n ** (len(axes) - 1)
+    rows = 64 * max(1, _BLOCK_POINTS // (64 * row_points))
+    logp = np.empty(n * row_points)
+    edges = [*range(0, max(n - rows, 0) + 1, rows), n]
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        mesh = np.meshgrid(axes[0][lo:hi], *axes[1:], indexing="ij")
+        Z = np.stack([m.ravel() for m in mesh], axis=1)
+        logp[lo * row_points : hi * row_points] = -potential_batch(problem, Z)
+    return logp
+
+
 def build_grid_oracle(
     problem: PosteriorProblem,
     points_per_axis: int = 2001,
@@ -81,20 +109,10 @@ def build_grid_oracle(
     if n < 3:
         raise ValueError("points_per_axis must be at least 3")
 
-    if problem.dim == 1:
-        grid = center[0] + np.linspace(-hw, hw, n)
-        Z = grid[:, None]
-        axes = (grid,)
-    else:
-        g0 = center[0] + np.linspace(-hw, hw, n)
-        g1 = center[1] + np.linspace(-hw, hw, n)
-        mesh = np.meshgrid(g0, g1, indexing="ij")
-        Z = np.stack([m.ravel() for m in mesh], axis=1)
-        axes = (g0, g1)
-
-    logp = -potential_batch(problem, Z)
+    axes = tuple(center[k] + np.linspace(-hw, hw, n) for k in range(problem.dim))
+    logp = _grid_log_density(problem, axes)
     logp -= logp.max()
-    dens = np.exp(logp)
+    dens = np.exp(logp, out=logp)
     if problem.dim == 2:
         dens = dens.reshape(n, n)
 
@@ -118,7 +136,7 @@ def build_grid_oracle(
     total = oracle.integral()
     if total <= 0.0:
         raise SupportError("oracle density vanished everywhere on the grid")
-    oracle.density = dens / total
+    dens /= total
     return oracle
 
 

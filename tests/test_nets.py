@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latgauss import nets
 from latgauss.errors import InvertibilityError, UnsupportedDifferentiation
@@ -163,3 +165,117 @@ def test_map_constants_validation():
         MapConstants(m=2.0, M=1.0, M2=0.0, M3=0.0)
     with pytest.raises(InvertibilityError):
         MapConstants(m=-1.0, M=1.0, M2=0.0, M3=0.0)
+
+
+# -- batched tensor_opnorm against the per-tensor loop -----------------------------
+
+
+def reference_opnorm(T, seed=0, restarts=4, iters=40):
+    """The per-tensor alternating maximization the batch must equal bit for bit."""
+    from latgauss.rng import NoiseStream
+
+    T = np.asarray(T, dtype=np.float64)
+    if not np.any(T):
+        return 0.0
+    stream = NoiseStream(seed)
+    order = T.ndim
+    letters = "abcdefgh"[:order]
+    best = 0.0
+    for r in range(restarts):
+        vecs = []
+        for axis in range(order):
+            g = stream.normal(0, r * order + axis, T.shape[axis])
+            vecs.append(g / np.linalg.norm(g))
+        for _ in range(iters):
+            for axis in range(order):
+                sub = (
+                    letters
+                    + ","
+                    + ",".join(l for i, l in enumerate(letters) if i != axis)
+                    + "->"
+                    + letters[axis]
+                )
+                contracted = np.einsum(sub, T, *[v for i, v in enumerate(vecs) if i != axis])
+                norm = np.linalg.norm(contracted)
+                if norm == 0.0:
+                    break
+                vecs[axis] = contracted / norm
+        value = abs(np.einsum(letters + "," + ",".join(letters) + "->", T, *vecs))
+        best = max(best, value)
+    return float(best)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    d=st.integers(1, 6),
+    order=st.integers(3, 4),
+    count=st.integers(1, 4),
+    seed=st.integers(0, 2**31),
+    values=st.integers(0, 2**31),
+)
+def test_tensor_opnorm_batch_equals_per_tensor_loop(d, order, count, seed, values):
+    gen = np.random.default_rng(values)
+    batch = gen.normal(size=(count + 1, d) + (d,) * (order - 1))
+    batch[gen.integers(count + 1)] = 0.0  # one all-zero tensor among them
+    got = nets.tensor_opnorm(batch, seed=seed)
+    assert got.shape == (count + 1,)
+    assert [float(v) for v in got] == [reference_opnorm(T, seed=seed) for T in batch]
+    assert 0.0 in got
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    d=st.integers(2, 6),
+    order=st.integers(3, 4),
+    restart=st.integers(0, 3),
+    seed=st.integers(0, 2**31),
+    exponents=st.lists(st.integers(-3, 3), min_size=6, max_size=6),
+)
+def test_tensor_opnorm_batch_skips_rest_of_sweep_on_zero_contraction(d, order, restart, seed, exponents):
+    # T lives on the slice a = 0, with row b on axes (2, 3...) equal to a power
+    # of two times (v2[1], -v2[0], 0, ...) at e = 0, where v2 is restart
+    # `restart`'s start vector on axis 2. The axis-0 update makes u1 = +-e_0
+    # exactly (unless the axis-0 contraction is already exactly 0), so the
+    # axis-1 contraction sums A and -A terms to exactly 0 and the per-tensor
+    # loop skips the rest of that sweep, every sweep.
+    from latgauss.rng import NoiseStream
+
+    stream = NoiseStream(seed)
+    start = [stream.normal(0, restart * order + axis, d) for axis in range(order)]
+    start = [g / np.linalg.norm(g) for g in start]
+    v2 = start[2]
+    T = np.zeros((d,) * order)
+    for b in range(d):
+        T[(0, b, slice(0, 2)) + (0,) * (order - 3)] = 2.0 ** exponents[b] * np.array([v2[1], -v2[0]])
+    letters = "abcd"[:order]
+    first = np.einsum(letters + "," + ",".join(letters[1:]) + "->a", T, *start[1:])
+    if np.any(first):  # otherwise the sweep stops already at axis 0
+        rest = [first / np.linalg.norm(first)] + start[2:]
+        assert not np.any(np.einsum(letters + "," + ",".join(letters[0] + letters[2:]) + "->b", T, *rest))
+    other = np.random.default_rng(seed).normal(size=T.shape)
+    got = nets.tensor_opnorm(np.stack([T, other]), seed=seed)
+    assert [float(v) for v in got] == [reference_opnorm(T, seed=seed), reference_opnorm(other, seed=seed)]
+
+
+@pytest.mark.parametrize(
+    "net",
+    [
+        tanh_residual_net(1),
+        tanh_residual_net(2),
+        random_residual_tanh_net(4, seed=0, alpha=0.2, hidden=6),
+    ],
+    ids=["tanh-d1", "tanh-d2", "residual-d4"],
+)
+def test_estimate_constants_equals_per_point_reference(net):
+    from latgauss.rng import NoiseStream, ball_points
+
+    seed, radius, count = 3, 4.7, 64
+    got = estimate_constants(net, sample_count=count, radius=radius, seed=seed)
+    stretch = estimate_constants(net, sample_count=count, radius=radius, seed=seed, tensor_points=0)
+    points = ball_points(NoiseStream(seed), 0, 2 * np.arange(24, dtype=np.uint64), net.input_dim, radius)
+    M2 = M3 = 0.0
+    for z in points:
+        M2 = max(M2, reference_opnorm(nets.second_derivative_tensor(net, z), seed=seed + 1))
+        M3 = max(M3, reference_opnorm(nets.third_derivative_tensor(net, z), seed=seed + 2))
+    assert got == MapConstants(m=stretch.m, M=stretch.M, M2=M2, M3=M3)
+    assert stretch.M2 == stretch.M3 == 0.0

@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from conftest import identity_problem, scale_problem, tanh_problem
+from latgauss import verify
 from latgauss.errors import DimensionError, SupportError
 from latgauss.potential import RegionD, refine_inverse, region, set_inverse
 from latgauss.rng import NoiseStream
@@ -187,3 +190,26 @@ def test_restricted_oracle_clips_support():
     outside = np.abs(orc.axes[0] - reg.center[0]) > reg.radius
     assert np.all(orc.density[outside] == 0.0)
     assert abs(orc.integral() - 1.0) < 1e-6
+
+
+@pytest.mark.parametrize("d, n", [(1, 300_001), (2, 600)])
+def test_blocked_oracle_equals_one_unblocked_evaluation(d, n, monkeypatch):
+    prob = tanh_problem(d=d, beta=0.3, x=np.full(d, 0.5))
+    prepared(prob)
+    whole = verify.potential_batch
+    sizes = []
+
+    def counted(problem, Z):
+        sizes.append(len(Z))
+        return whole(problem, Z)
+
+    monkeypatch.setattr(verify, "potential_batch", counted)
+    orc = build_grid_oracle(prob, n)
+    assert len(sizes) > 1 and sizes[-1] != sizes[0] and sum(sizes) == n**d  # ragged last block
+
+    mesh = np.meshgrid(*orc.axes, indexing="ij")
+    logp = -whole(prob, np.stack([m.ravel() for m in mesh], axis=1))
+    logp -= logp.max()
+    dens = np.exp(logp).reshape((n,) * d)
+    total = dataclasses.replace(orc, density=dens).integral()
+    assert np.array_equal(orc.density, dens / total)
