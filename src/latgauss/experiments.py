@@ -13,6 +13,7 @@ import numpy as np
 from .errors import DimensionError
 from .pipeline import plan_pipeline, plan_truncated, run_direct_pipeline
 from .potential import PosteriorProblem
+from .rng import normal_rows
 from .verify import build_grid_oracle, tv_distance
 
 TV_BINNING_ALLOWANCE = 0.03
@@ -190,8 +191,8 @@ def cir_comparison_experiment(
     budget = np.sqrt(h)
     worst_margin = np.inf
     prev_excess = U - X
-    for k in range(steps):
-        xi = stream.normal_matrix(stage_base + k, draws, 1)[:, 0]
+    for k, step_noise in enumerate(normal_rows(stream, stage_base, steps, draws, 1)):
+        xi = step_noise[:, 0]
         s = np.where(v >= 0.0, xi, -xi)
         v = (1.0 - h * kappa) * v + np.sqrt(2.0 * h) * xi
         U = 0.5 * v * v

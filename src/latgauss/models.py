@@ -14,6 +14,7 @@ conventions, so a run can be reproduced from its artifacts alone.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 from dataclasses import dataclass
 
@@ -22,6 +23,7 @@ import numpy as np
 from .errors import DimensionError
 from .nets import Network
 from .rng import NoiseStream, ZeroStream  # noqa: F401  (re-exported)
+from .rng import normal_rows
 
 
 @dataclass
@@ -115,16 +117,28 @@ def sample_dlg(model: DeepLatentGaussian, inp: np.ndarray, stream, draw: int = 0
 def sample_dlg_batch(
     model: DeepLatentGaussian, inputs: np.ndarray, stream, draws=None
 ) -> np.ndarray:
-    """Batched sample_dlg; row i uses draw index draws[i] (default i)."""
+    """Batched sample_dlg; row i uses draw index draws[i] (default i).
+
+    Each run of consecutive stages with equal variance and width, such as
+    the Langevin stages of a compiled encoder, draws its noise in blocks of
+    stages (rng.normal_rows), bit for bit the per-stage draws of sample_dlg.
+    """
     states = np.asarray(inputs, dtype=np.float64)
     if states.ndim != 2 or states.shape[1] != model.input_dim:
         raise DimensionError(f"expected inputs of shape (n, {model.input_dim})")
     if draws is None:
         draws = np.arange(len(states), dtype=np.uint64)
-    for s, (net, var) in enumerate(model.stages):
-        states = net.eval_batch(states)
+    first = 0
+    runs = itertools.groupby(model.stages, key=lambda stage: (stage[1], stage[0].output_dim))
+    for (var, width), run in runs:
+        nets = [net for net, _ in run]
         if var > 0.0:
-            states = states + np.sqrt(var) * stream.normal_matrix(s, draws, states.shape[1])
+            noise = normal_rows(stream, first, len(nets), draws, width, scale=np.sqrt(var))
+        first += len(nets)
+        for net in nets:
+            states = net.eval_batch(states)
+            if var > 0.0:
+                states += next(noise)
     return states
 
 

@@ -53,7 +53,7 @@ class Layer:
     bias: np.ndarray
     activation: object  # str, or sequence of per-neuron tags
 
-    # per-neuron activation codes and their (code, mask) groups, filled in
+    # per-neuron activation codes and their (code, index) groups, filled in
     # __post_init__
     codes: np.ndarray = field(init=False)
     groups: tuple = field(init=False, repr=False, compare=False)
@@ -91,8 +91,20 @@ class Layer:
 
 
 def _code_groups(codes: np.ndarray) -> tuple:
-    """(code, mask) for each activation code present, in code order."""
-    return tuple((int(c), codes == c) for c in np.unique(codes))
+    """(code, index) for each activation code present, in code order.
+
+    A lone neuron's index is a slice: its column is a 1-d view that numpy
+    walks in one loop, with no gather. Wider groups take an integer index
+    array, since a 2-d view of k > 1 columns runs one inner loop per batch
+    row and costs more than the gather on large batches.
+    """
+    groups = []
+    for c in np.unique(codes):
+        index = np.flatnonzero(codes == c)
+        if len(index) == 1:
+            index = slice(int(index[0]), int(index[0]) + 1)
+        groups.append((int(c), index))
+    return tuple(groups)
 
 
 def _apply_elementwise(u: np.ndarray, groups: tuple) -> np.ndarray:
@@ -107,13 +119,13 @@ def _apply_elementwise(u: np.ndarray, groups: tuple) -> np.ndarray:
             return u * u
         return np.where(u >= 0.0, 1.0, -1.0)  # sign, with sign(0) = +1
     out = u.copy()
-    for code, mask in groups:
+    for code, index in groups:
         if code == _TANH:
-            out[..., mask] = np.tanh(u[..., mask])
+            out[..., index] = np.tanh(u[..., index])
         elif code == _SQ:
-            out[..., mask] = u[..., mask] ** 2
+            out[..., index] = u[..., index] ** 2
         elif code == _SIGN:
-            out[..., mask] = np.where(u[..., mask] >= 0.0, 1.0, -1.0)
+            out[..., index] = np.where(u[..., index] >= 0.0, 1.0, -1.0)
     return out
 
 
@@ -134,11 +146,11 @@ def _times_derivative(delta: np.ndarray, u: np.ndarray, a: np.ndarray, groups: t
             return delta * (1.0 - a * a)
         return delta * (2.0 * u)
     out = delta.copy()
-    for code, mask in groups:
+    for code, index in groups:
         if code == _TANH:
-            out[..., mask] *= 1.0 - a[..., mask] ** 2
+            out[..., index] *= 1.0 - a[..., index] ** 2
         elif code == _SQ:
-            out[..., mask] *= 2.0 * u[..., mask]
+            out[..., index] *= 2.0 * u[..., index]
     return out
 
 

@@ -22,6 +22,16 @@ stream exactly):
 2. uniform = ((w >> 11) + 0.5) * 2^-53, an element of the open interval (0,1).
 3. normal  = ndtri(uniform), the inverse standard normal CDF.
 
+Block draws: `NoiseStream.normal_stages(stage, count, draws, n)` hashes the
+counters of `count` consecutive stages in one pass and returns shape
+(count, len(draws), n), whose entry [k] is `normal_matrix(stage + k, draws,
+n)` bit for bit: the uint64 chain, the 53-bit conversion and `ndtri` all act
+element by element, and the per-stage calls run the same code with one
+stage. `normal_rows` walks such blocks of about 2^16 words one stage at a
+time; loops that draw noise at every stage (Langevin chains, the compiled
+encoder's stages, the CIR paths) use it to pay the per-call cost once per
+block instead of once per stage.
+
 SplitMix64 is the Steele-Lea-Flood mixer: add 0x9E3779B97F4A7C15, then
 xor-shift-multiply with the constants below.
 """
@@ -68,11 +78,20 @@ class NoiseStream:
 
     # -- word generation -------------------------------------------------
 
-    def _words(self, stage: int, draws: np.ndarray, components: np.ndarray) -> np.ndarray:
-        """uint64 words, shape (len(draws), len(components))."""
-        h1 = _splitmix64(self._h0 ^ _as_word(stage))
-        h2 = _splitmix64(h1 ^ np.asarray(draws, dtype=np.uint64)[:, None])
-        return _splitmix64(h2 ^ np.asarray(components, dtype=np.uint64)[None, :])
+    def _words(self, stages: np.ndarray, draws: np.ndarray, components: np.ndarray) -> np.ndarray:
+        """uint64 words, shape (len(stages), len(draws), len(components))."""
+        h1 = _splitmix64(self._h0 ^ stages)
+        h2 = _splitmix64(h1[:, None] ^ np.asarray(draws, dtype=np.uint64)[None, :])
+        return _splitmix64(h2[:, :, None] ^ np.asarray(components, dtype=np.uint64))
+
+    def _uniforms(self, stage: int, count: int, draws: np.ndarray, n: int) -> np.ndarray:
+        """Uniforms at stages stage..stage+count-1, shape (count, len(draws), n)."""
+        stages = _as_word(stage) + np.arange(count, dtype=np.uint64)
+        words = self._words(stages, draws, np.arange(n, dtype=np.uint64))
+        u = (words >> np.uint64(11)).astype(np.float64)
+        u += 0.5
+        u *= 2.0**-53
+        return u
 
     # -- scalar-draw API --------------------------------------------------
 
@@ -87,17 +106,33 @@ class NoiseStream:
     # -- batched API (draw axis vectorized) -------------------------------
 
     def uniform_matrix(self, stage: int, draws: np.ndarray, n: int) -> np.ndarray:
-        draws = np.asarray(draws, dtype=np.uint64)
-        comps = np.arange(n, dtype=np.uint64)
-        words = self._words(stage, draws, comps)
-        u = (words >> np.uint64(11)).astype(np.float64)
-        u += 0.5
-        u *= 2.0**-53
-        return u
+        return self._uniforms(stage, 1, draws, n)[0]
 
     def normal_matrix(self, stage: int, draws: np.ndarray, n: int) -> np.ndarray:
         u = self.uniform_matrix(stage, draws, n)
         return ndtri(u, out=u)
+
+    # -- block API (stage and draw axes vectorized) -----------------------
+
+    def normal_stages(self, stage: int, count: int, draws: np.ndarray, n: int) -> np.ndarray:
+        """Entry [k] equals normal_matrix(stage + k, draws, n)."""
+        u = self._uniforms(stage, count, draws, n)
+        return ndtri(u, out=u)
+
+
+_BLOCK_WORDS = 1 << 16  # about this many noise words per normal_stages call
+
+
+def normal_rows(stream, stage: int, count: int, draws: np.ndarray, n: int, scale=1.0):
+    """Yield scale * stream.normal_matrix(stage + k, draws, n) for k in
+    range(count), bit for bit, drawn through normal_stages in blocks of
+    about _BLOCK_WORDS words and scaled once per block.
+    """
+    per_block = max(1, _BLOCK_WORDS // max(1, len(draws) * n))
+    for lo in range(0, count, per_block):
+        block = stream.normal_stages(stage + lo, min(per_block, count - lo), draws, n)
+        block *= scale
+        yield from block
 
 
 def ball_points(stream, stage: int, draws: np.ndarray, dim: int, radius: float) -> np.ndarray:
@@ -130,3 +165,6 @@ class ZeroStream:
 
     def normal_matrix(self, stage: int, draws: np.ndarray, n: int) -> np.ndarray:
         return np.zeros((len(draws), n))
+
+    def normal_stages(self, stage: int, count: int, draws: np.ndarray, n: int) -> np.ndarray:
+        return np.zeros((count, len(draws), n))

@@ -40,7 +40,7 @@ from .errors import (
     PlanTooLarge,
 )
 from .potential import PosteriorProblem, RegionD, grad_potential_batch
-from .rng import ball_points
+from .rng import ball_points, normal_rows
 
 STEP_CAP_DEFAULT = 10**7
 
@@ -180,7 +180,10 @@ def run_chains(
 
     Returns (finals, exited, snapshots) where snapshots maps requested step
     indices to state arrays. Chain c draws its step-k noise at counter
-    (stages.langevin_stage(k), draw=chains[c]).
+    (stages.langevin_stage(k), draw=chains[c]); the noise for many steps is
+    drawn and scaled by sqrt(2h) in one block (rng.normal_rows), bit for bit
+    the per-step draw, while the gradient check, exit record and snapshots
+    still run every step.
     """
     Z = np.asarray(Z0, dtype=np.float64).copy()
     if chains is None:
@@ -199,10 +202,12 @@ def run_chains(
             snapshots[step] = Z.copy()
 
     record(0)
-    for k in range(plan.steps):
-        noise = stream.normal_matrix(stages.langevin_stage(k), chains, Z.shape[1])
+    noise_rows = normal_rows(
+        stream, stages.langevin_stage(0), plan.steps, chains, Z.shape[1], scale=sqrt2h
+    )
+    for k, noise in enumerate(noise_rows):
         grad = grad_potential_batch(problem, Z)
-        if not np.all(np.isfinite(grad)):
+        if not np.isfinite(grad).all():
             bad = int(np.argmax(~np.all(np.isfinite(grad), axis=1)))
             raise NumericalBlowup(
                 "non-finite potential gradient during chain run",
@@ -210,7 +215,6 @@ def run_chains(
                 state=Z[bad].tolist(),
             )
         Z -= plan.h * grad
-        noise *= sqrt2h
         Z += noise
         if plan.projected:
             Z = project_ball(Z, center, radius)
@@ -251,9 +255,8 @@ def simulate_cir(
     out = np.empty((paths, steps + 1))
     out[:, 0] = np.sum(V * V, axis=1)
     draws = np.arange(paths, dtype=np.uint64)
-    for k in range(steps):
-        xi = stream.normal_matrix(stage + k, draws, n_tilde)
-        V = decay * V + sqrth * xi
+    for k, step_noise in enumerate(normal_rows(stream, stage, steps, draws, n_tilde, scale=sqrth)):
+        V = decay * V + step_noise
         out[:, k + 1] = np.sum(V * V, axis=1)
     return out
 

@@ -49,7 +49,10 @@ class GridOracle:
     def integral(self) -> float:
         if self.dimension == 1:
             return float(np.trapezoid(self.density, self.axes[0]))
-        inner = np.trapezoid(self.density, self.axes[1], axis=1)
+        # the inner rule runs per grid row, so blocks of rows give the same values
+        inner = np.empty(len(self.axes[0]))
+        for lo, hi in _row_blocks(len(self.axes[0]), len(self.axes[1])):
+            inner[lo:hi] = np.trapezoid(self.density[lo:hi], self.axes[1], axis=1)
         return float(np.trapezoid(inner, self.axes[0]))
 
     def log_density(self) -> np.ndarray:
@@ -57,28 +60,36 @@ class GridOracle:
             return np.log(self.density)
 
 
-_BLOCK_POINTS = 1 << 17  # about this many grid points per potential_batch call
+_BLOCK_POINTS = 1 << 17  # about this many grid points per block of grid rows
+
+
+def _row_blocks(n: int, row_points: int):
+    """(lo, hi) ranges over n grid rows (first-axis values) of row_points
+    points each, about _BLOCK_POINTS points per range, so full-grid work at
+    d=2 keeps its temporaries small.
+
+    Ranges start at multiples of 64 rows and the last one takes the
+    remainder, one to two ranges' worth, so no range is a lone point.
+    """
+    rows = 64 * max(1, _BLOCK_POINTS // (64 * row_points))
+    edges = [*range(0, max(n - rows, 0) + 1, rows), n]
+    return zip(edges[:-1], edges[1:])
 
 
 def _grid_log_density(problem: PosteriorProblem, axes: tuple) -> np.ndarray:
     """-L on the grid spanned by axes, flat in C order, in blocks of grid rows
-    (first-axis values) of about _BLOCK_POINTS points each, so the
-    temporaries stay small at d=2.
+    (_row_blocks).
 
-    Blocks start at multiples of 64 points and the last one takes the
-    remainder, one to two blocks' worth, so no block is a lone point: BLAS
-    then runs the same kernels on every row as one call on the whole grid
-    would, and the values equal that call's bit for bit. (A d=1 grid of
-    2^18 or more points under multithreaded BLAS is the exception: the
-    threads split a matrix-vector product at other rows, which can move a
-    few values by an ulp.)
+    As no block is a lone point, BLAS runs the same kernels on every row as
+    one call on the whole grid would, and the values equal that call's bit
+    for bit. (A d=1 grid of 2^18 or more points under multithreaded BLAS is
+    the exception: the threads split a matrix-vector product at other rows,
+    which can move a few values by an ulp.)
     """
     n = len(axes[0])
     row_points = n ** (len(axes) - 1)
-    rows = 64 * max(1, _BLOCK_POINTS // (64 * row_points))
     logp = np.empty(n * row_points)
-    edges = [*range(0, max(n - rows, 0) + 1, rows), n]
-    for lo, hi in zip(edges[:-1], edges[1:]):
+    for lo, hi in _row_blocks(n, row_points):
         mesh = np.meshgrid(axes[0][lo:hi], *axes[1:], indexing="ij")
         Z = np.stack([m.ravel() for m in mesh], axis=1)
         logp[lo * row_points : hi * row_points] = -potential_batch(problem, Z)
@@ -160,13 +171,16 @@ def _oracle_bin_mass(oracle: GridOracle, bins: int) -> np.ndarray:
         out = np.zeros(bins)
         np.add.at(out, idx, node_mass)
         return out
-    node_mass = oracle.density * np.outer(w, w)
     e0 = _bin_edges(oracle, 0, bins)
     e1 = _bin_edges(oracle, 1, bins)
     i0 = np.clip(np.searchsorted(e0, oracle.axes[0], side="right") - 1, 0, bins - 1)
     i1 = np.clip(np.searchsorted(e1, oracle.axes[1], side="right") - 1, 0, bins - 1)
     out = np.zeros((bins, bins))
-    np.add.at(out, (i0[:, None], i1[None, :]), node_mass)
+    # np.add.at accumulates in C order, so blocks of grid rows taken in order
+    # give every bin the same additions in the same sequence
+    for lo, hi in _row_blocks(len(g), len(oracle.axes[1])):
+        node_mass = oracle.density[lo:hi] * np.outer(w[lo:hi], w)
+        np.add.at(out, (i0[lo:hi, None], i1[None, :]), node_mass)
     return out
 
 

@@ -200,6 +200,20 @@ def test_encoder_round_trip_bitwise(tmp_path):
     )
 
 
+def test_encoder_samples_do_not_depend_on_noise_block_size(monkeypatch):
+    problem, reg, gd_plan, plan = compiled_setup(gd_steps=5, langevin_steps=40)
+    enc = compile_encoder(problem, gd_plan, plan)
+    draws = np.arange(8, dtype=np.uint64) * 2 + 1
+    width = max(net.output_dim for net, var in enc.dlg.stages if var > 0.0)
+    runs = []
+    # one stage per block, ragged blocks of 7 stages, one block for the chain
+    for block_words in (1, 7 * len(draws) * width, 10**9):
+        monkeypatch.setattr("latgauss.rng._BLOCK_WORDS", block_words)
+        runs.append(run_encoder(enc, problem.x, NoiseStream(6), draws))
+    assert np.array_equal(runs[1], runs[0])
+    assert np.array_equal(runs[2], runs[0])
+
+
 def test_manifest_fields():
     problem, reg, gd_plan, plan = compiled_setup(gd_steps=5, langevin_steps=10)
     enc = compile_encoder(problem, gd_plan, plan)

@@ -67,6 +67,25 @@ def test_dlg_batch_matches_scalar():
         assert np.array_equal(batch[i], sample_dlg(dlg, Z[i], s, draw=i))
 
 
+@pytest.mark.parametrize("block_words", [1, 7 * 4 * 2, 10**9])
+def test_dlg_batch_noise_blocks_match_scalar(monkeypatch, block_words):
+    # runs of equal variance and width, broken by a variance change, a
+    # deterministic stage and a width change; blocks of 1 or 7 stages or one
+    # block per run
+    monkeypatch.setattr("latgauss.rng._BLOCK_WORDS", block_words)
+    widen = linear_net(np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]))
+    stages = [(tanh_residual_net(2, 0.5), 0.3)] * 9 + [(identity_net(2), 0.1)] * 3
+    stages += [(scale_net(2, 0.9), 0.0), (identity_net(2), 0.1), (widen, 0.1)]
+    stages += [(tanh_residual_net(3, 0.2), 0.1)] * 10
+    dlg = DeepLatentGaussian(stages)
+    s = NoiseStream(4)
+    Z = np.array([[0.1, 0.2], [-0.5, 0.4], [1.0, -1.0], [0.0, 0.3]])
+    draws = np.array([3, 0, 8, 5], dtype=np.uint64)
+    batch = sample_dlg_batch(dlg, Z, s, draws)
+    for i in range(4):
+        assert np.array_equal(batch[i], sample_dlg(dlg, Z[i], s, draw=int(draws[i])))
+
+
 def test_dlg_noise_variance():
     dlg = DeepLatentGaussian([(identity_net(1), 0.25)])
     out = sample_dlg_batch(dlg, np.zeros((30_000, 1)), NoiseStream(2))

@@ -82,6 +82,29 @@ def test_eval_batch_matches_single():
         assert np.array_equal(Y[i], net.eval(Z[i]))
 
 
+def test_activation_groups_index_each_code():
+    # a lone neuron gets a slice, wider groups an index array; either way the
+    # layer evaluates neuron by neuron
+    assert tanh_residual_net(1, 0.5).layers[0].groups == (
+        (nets._ID, slice(1, 2)),
+        (nets._TANH, slice(0, 1)),
+    )
+    tags = ["tanh", "identity", "tanh", "square", "square"]
+    W = rng.normal(size=(5, 2))
+    b = rng.normal(size=5)
+    layer = Layer(W, b, tags)
+    assert [code for code, _ in layer.groups] == [nets._ID, nets._TANH, nets._SQ]
+    assert layer.groups[0][1] == slice(1, 2)
+    assert np.array_equal(layer.groups[1][1], [0, 2])
+    assert np.array_equal(layer.groups[2][1], [3, 4])
+    net = Network([layer, Layer(rng.normal(size=(1, 5)), np.zeros(1), "identity")], 2)
+    Z = rng.normal(size=(7, 2))
+    U = Z @ W.T + b
+    want = np.column_stack([np.tanh(U[:, 0]), U[:, 1], np.tanh(U[:, 2]), U[:, 3] ** 2, U[:, 4] ** 2])
+    assert np.array_equal(net._forward_tape(Z)[1][0][1], want)
+    assert np.allclose(net.jacobian_batch(Z)[:, 0, :], [fd_jacobian(net, z)[0] for z in Z], atol=1e-7)
+
+
 def test_json_round_trip_bitwise():
     net = random_smooth_net(3, seed=7)
     clone = Network.from_json(net.to_json())

@@ -1,6 +1,12 @@
 import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from latgauss.rng import NoiseStream, ZeroStream, ball_points
+from latgauss import rng
+from latgauss.rng import NoiseStream, ZeroStream, ball_points, normal_rows
+
+WORD = st.integers(0, 2**64 - 1)
 
 
 def test_repeatable_bitwise():
@@ -64,3 +70,60 @@ def test_zero_stream():
     z = ZeroStream()
     assert np.all(z.normal(0, 0, 5) == 0.0)
     assert np.all(z.uniform_matrix(1, np.arange(3, dtype=np.uint64), 2) == 0.5)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=WORD,
+    stage=WORD,
+    count=st.integers(1, 6),
+    draws=st.lists(WORD, min_size=1, max_size=8),
+    n=st.integers(1, 5),
+)
+def test_block_draw_equals_per_stage_draws(seed, stage, count, draws, n):
+    # stages near 2^64 wrap around in both paths
+    s = NoiseStream(seed)
+    draws = np.array(draws, dtype=np.uint64)
+    normals = s.normal_stages(stage, count, draws, n)
+    uniforms = s._uniforms(stage, count, draws, n)
+    assert normals.shape == uniforms.shape == (count, len(draws), n)
+    for k in range(count):
+        assert np.array_equal(normals[k], s.normal_matrix(stage + k, draws, n))
+        assert np.array_equal(uniforms[k], s.uniform_matrix(stage + k, draws, n))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=WORD,
+    stage=st.integers(0, 2**40),
+    count=st.integers(1, 5),
+    extra=st.integers(1, 4),
+    draws=st.lists(WORD, min_size=1, max_size=6),
+    n=st.integers(1, 5),
+)
+def test_block_draw_prefixes(seed, stage, count, extra, draws, n):
+    # fewer stages or components give a prefix along that axis
+    s = NoiseStream(seed)
+    draws = np.array(draws, dtype=np.uint64)
+    full = s.normal_stages(stage, count + extra, draws, n + extra)
+    assert np.array_equal(s.normal_stages(stage, count, draws, n + extra), full[:count])
+    assert np.array_equal(s.normal_stages(stage, count + extra, draws, n), full[..., :n])
+
+
+def test_zero_stream_block_draw():
+    z = ZeroStream().normal_stages(4, 3, np.arange(5, dtype=np.uint64), 2)
+    assert z.shape == (3, 5, 2)
+    assert not z.any()
+
+
+@pytest.mark.parametrize("block_words", [1, 7 * 6 * 2 - 1, 7 * 6 * 2, 10**9])
+def test_normal_rows_equal_scaled_per_stage_draws(monkeypatch, block_words):
+    # block sizes of one stage, ragged blocks of 6 and 7 stages, and one block
+    monkeypatch.setattr(rng, "_BLOCK_WORDS", block_words)
+    s = NoiseStream(21)
+    draws = np.arange(6, dtype=np.uint64) * 5 + 2
+    scale = np.sqrt(2.0 * 3e-4)
+    rows = list(normal_rows(s, 11, 30, draws, 2, scale=scale))
+    assert len(rows) == 30
+    for k, row in enumerate(rows):
+        assert np.array_equal(row, scale * s.normal_matrix(11 + k, draws, 2))

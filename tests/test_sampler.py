@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from conftest import identity_problem, tanh_problem
-from latgauss.errors import DegeneratePlan, InitializationError, PlanTooLarge
-from latgauss.potential import RegionD, refine_inverse, region, set_inverse
+from latgauss import rng
+from latgauss.errors import DegeneratePlan, InitializationError, NumericalBlowup, PlanTooLarge
+from latgauss.potential import RegionD, grad_potential_batch, refine_inverse, region, set_inverse
 from latgauss.rng import NoiseStream, ZeroStream
 from latgauss.sampler import (
     PipelineStages,
@@ -194,3 +195,62 @@ def test_stage_numbering():
     assert st.langevin_stage(0) == 6
     assert st.langevin_stage(9) == 15
     assert st.total == 17
+
+
+def per_step_chains(prob, reg, plan, Z0, stream, stages, idx):
+    """run_chains written out with one normal_matrix draw per step."""
+    Z = Z0.copy()
+    for k in range(plan.steps):
+        Z -= plan.h * grad_potential_batch(prob, Z)
+        Z += np.sqrt(2.0 * plan.h) * stream.normal_matrix(stages.langevin_stage(k), idx, Z.shape[1])
+        if plan.projected:
+            Z = project_ball(Z, reg.center, reg.radius)
+    return Z
+
+
+@pytest.mark.parametrize("projected", [False, True])
+def test_chains_do_not_depend_on_noise_block_size(monkeypatch, projected):
+    # a region of radius 0.1 against a diffusion of about 0.19 over the 60
+    # steps, so that chains exit or get clamped
+    prob = tanh_problem(d=2, x=[0.6, -0.2])
+    planned = prepared(prob)
+    reg = synthetic_region(planned.center, 0.1)
+    plan = truncated(make_sampler_plan(prob, planned, projected=projected), 60)
+    stages = PipelineStages(2, plan.steps)
+    idx = np.arange(10, dtype=np.uint64) * 3 + 1
+    Z0 = initialize_batch(prob, reg, prob.zhat, NoiseStream(5), stages, idx)
+    want = [0, 1, 6, 7, 30, 60]
+    runs = []
+    # one stage per block, ragged blocks of 7 stages, one block for the plan
+    for block_words in (1, 7 * len(idx) * 2, 10**9):
+        monkeypatch.setattr(rng, "_BLOCK_WORDS", block_words)
+        runs.append(run_chains(prob, reg, plan, Z0, NoiseStream(5), stages, idx, want))
+    finals, exited, snaps = runs[0]
+    assert np.array_equal(finals, per_step_chains(prob, reg, plan, Z0, NoiseStream(5), stages, idx))
+    assert exited.any() != projected
+    for other_finals, other_exited, other_snaps in runs[1:]:
+        assert np.array_equal(other_finals, finals)
+        assert np.array_equal(other_exited, exited)
+        assert sorted(other_snaps) == want
+        for step in want:
+            assert np.array_equal(other_snaps[step], snaps[step])
+
+
+def test_blowup_mid_block_reports_its_step_and_state(monkeypatch):
+    # h far past stability: z is multiplied by about 1 - 5h = -499 per step
+    # until the gradient overflows, which lands inside a 7-stage block
+    prob = identity_problem(d=1, beta=0.5, x=[0.8])
+    reg = synthetic_region([0.64], 1.0)
+    plan = truncated(make_sampler_plan(prob, reg, h_override=100.0), 300)
+    stages = PipelineStages(1, plan.steps)
+    idx = np.arange(4, dtype=np.uint64)
+    Z0 = np.array([[0.5], [0.7], [0.6], [0.9]])
+    payloads = []
+    for block_words in (1, 7 * len(idx), 10**9):
+        monkeypatch.setattr(rng, "_BLOCK_WORDS", block_words)
+        with pytest.raises(NumericalBlowup) as err, np.errstate(over="ignore", invalid="ignore"):
+            run_chains(prob, reg, plan, Z0, NoiseStream(9), stages, idx)
+        payloads.append(err.value.payload)
+    step = payloads[0]["step"]
+    assert 0 < step < plan.steps and step % 7 != 0
+    assert payloads[1] == payloads[2] == payloads[0]
