@@ -7,12 +7,13 @@ same config + seed reproduces the report byte for byte except the timestamp
 field. Module errors surface as machine-readable JSON on stdout with a
 nonzero exit code.
 
-`sample`, `compile` and `verify` share one path from config to chains
-(`pipeline.plan_pipeline` or `plan_truncated`, then `run_planned_chains`), so
-they consume noise counters exactly as the experiments do. `--jobs` and the
-`jobs` config key are still accepted and validated for older invocations;
-all chains run as one vectorized batch, and the counter-based stream keys
-every word on the absolute chain index, so no split could change a sample.
+`sample`, `compile` and `verify` each plan once under the config's caps
+(`pipeline.plan_pipeline`, or `plan_truncated` for the compiled encoder) and
+pass that plan to everything that runs chains: `run_planned_chains`, the
+experiments and the compile self-test. `--jobs` and the `jobs` config key
+are still accepted and validated for older invocations; all chains run as
+one vectorized batch, and the counter-based stream keys every word on the
+absolute chain index, so no split could change a sample.
 """
 
 from __future__ import annotations
@@ -27,7 +28,15 @@ from importlib import metadata
 
 import numpy as np
 
-from .compiler import compile_encoder, equivalence_deviation, load_encoder, manifest, run_encoder, save_encoder
+from .compiler import (
+    EQUIVALENCE_TOLERANCE,
+    compile_encoder,
+    equivalence_deviation,
+    load_encoder,
+    manifest,
+    run_encoder,
+    save_encoder,
+)
 from .config import RunConfig, load_config
 from .errors import LatgaussError, VerificationError
 from .experiments import (
@@ -44,11 +53,9 @@ from .lowerbound import demo_report
 from .models import write_samples_csv
 from .nets import as_linear
 from .pipeline import build_problem, plan_pipeline, plan_truncated, run_planned_chains
-from .potential import diagnostics_report, refine_inverse, region_radius, set_inverse
+from .potential import check_inverse, diagnostics_report, refine_inverse, region_radius
 from .rng import NoiseStream
 from .verify import build_grid_oracle, chi2_initialization, gaussian_moment_test, linear_posterior, tv_distance
-
-EQUIVALENCE_TOLERANCE = 1e-6
 
 
 # -- report plumbing ----------------------------------------------------------------
@@ -107,6 +114,17 @@ def _problem_from_config(cfg: RunConfig):
     )
 
 
+def _compile_plan(problem, cfg: RunConfig):
+    """The compiled encoder's truncated plan, under the config's caps."""
+    return plan_truncated(
+        problem,
+        cfg.compile_opts.get("gd_steps", 10),
+        cfg.compile_opts.get("langevin_steps", 50),
+        gd_max_steps=cfg.max_gd_steps,
+        step_cap=cfg.max_langevin_steps,
+    )
+
+
 # -- subcommands --------------------------------------------------------------------
 
 
@@ -114,7 +132,7 @@ def cmd_invert(cfg: RunConfig) -> int:
     problem = _problem_from_config(cfg)
     gd_plan = make_gd_plan(problem, max_steps=cfg.max_gd_steps)
     trace = gd_invert(problem, gd_plan)
-    inverse_info = set_inverse(problem, trace.final, validate=trace.converged)
+    inverse_info = check_inverse(problem, trace.final, validate=trace.converged)
 
     os.makedirs(cfg.out_dir, exist_ok=True)
     trace_path = os.path.join(cfg.out_dir, "descent_trace.csv")
@@ -145,9 +163,7 @@ def cmd_invert(cfg: RunConfig) -> int:
 
 def cmd_sample(cfg: RunConfig) -> int:
     problem = _problem_from_config(cfg)
-    planned = plan_pipeline(
-        problem, gd_max_steps=cfg.max_gd_steps, step_cap=cfg.max_langevin_steps
-    )
+    planned = plan_pipeline(problem, cfg.max_gd_steps, cfg.max_langevin_steps)
     result = run_planned_chains(problem, planned, NoiseStream(cfg.seed + 1), cfg.samples)
     finals = result.finals
 
@@ -174,18 +190,18 @@ def cmd_sample(cfg: RunConfig) -> int:
     report.update(
         {
             "plan": {
-                "gd_steps": result.gd_plan.steps,
-                "langevin_steps": result.plan.steps,
-                "h": result.plan.h,
-                "horizon": result.plan.horizon,
-                "init_radius": result.plan.init_radius,
+                "gd_steps": planned.gd_plan.steps,
+                "langevin_steps": planned.plan.steps,
+                "h": planned.plan.h,
+                "horizon": planned.plan.horizon,
+                "init_radius": planned.plan.init_radius,
             },
             "samples_csv": samples_path,
             "exit": exit_block,
         }
     )
     if problem.dim <= 2:
-        oracle = build_grid_oracle(problem)
+        oracle = build_grid_oracle(problem, planned.region)
         tv = tv_distance(finals, oracle)
         tv_gate = tv_threshold(problem.epsilon)
         report["tv"] = {"tv": float(tv), "threshold": tv_gate, "pass": bool(tv <= tv_gate)}
@@ -199,15 +215,9 @@ def cmd_sample(cfg: RunConfig) -> int:
 
 def cmd_compile(cfg: RunConfig) -> int:
     problem = _problem_from_config(cfg)
-    _, reg, gd_plan, plan = plan_truncated(
-        problem,
-        cfg.compile_opts.get("gd_steps", 10),
-        cfg.compile_opts.get("langevin_steps", 50),
-        gd_max_steps=cfg.max_gd_steps,
-        step_cap=cfg.max_langevin_steps,
-    )
+    planned = _compile_plan(problem, cfg)
     encoder = compile_encoder(
-        problem, gd_plan, plan, amortized=cfg.compile_opts.get("amortized", True)
+        problem, planned.gd_plan, planned.plan, amortized=cfg.compile_opts.get("amortized", True)
     )
 
     # Self-test gates the artifact: no encoder file unless the compiled network
@@ -215,7 +225,7 @@ def cmd_compile(cfg: RunConfig) -> int:
     stream_seed = cfg.seed + 2
     draws = 16
     deviation, compiled = equivalence_deviation(
-        problem, reg, gd_plan, plan, encoder, NoiseStream(stream_seed), draws=draws
+        problem, planned, encoder, NoiseStream(stream_seed), draws=draws
     )
     if deviation > EQUIVALENCE_TOLERANCE:
         raise VerificationError(
@@ -258,21 +268,22 @@ def cmd_compile(cfg: RunConfig) -> int:
 
 
 _EXPERIMENTS = {
-    "exit": lambda problem, cfg: exit_fraction_experiment(
-        problem, NoiseStream(cfg.seed + 11), chains=cfg.chains
+    "exit": lambda problem, planned, cfg: exit_fraction_experiment(
+        problem, planned, NoiseStream(cfg.seed + 11), chains=cfg.chains
     ),
-    "tv": lambda problem, cfg: posterior_tv_experiment(
-        problem, NoiseStream(cfg.seed + 12), samples=cfg.samples
+    "tv": lambda problem, planned, cfg: posterior_tv_experiment(
+        problem, planned, NoiseStream(cfg.seed + 12), samples=cfg.samples
     ),
-    "mixing": lambda problem, cfg: mixing_trend_experiment(
-        problem, NoiseStream(cfg.seed + 13), chains=cfg.chains
+    "mixing": lambda problem, planned, cfg: mixing_trend_experiment(
+        problem, planned, NoiseStream(cfg.seed + 13), chains=cfg.chains
     ),
-    "cir": lambda problem, cfg: cir_comparison_experiment(problem, NoiseStream(cfg.seed + 14)),
-    "compiled": lambda problem, cfg: compiled_vs_direct_experiment(
+    "cir": lambda problem, planned, cfg: cir_comparison_experiment(
+        problem, NoiseStream(cfg.seed + 14)
+    ),
+    "compiled": lambda problem, planned, cfg: compiled_vs_direct_experiment(
         problem,
+        _compile_plan(problem, cfg),
         NoiseStream(cfg.seed + 15),
-        gd_steps=cfg.compile_opts.get("gd_steps", 10),
-        langevin_steps=cfg.compile_opts.get("langevin_steps", 50),
         amortized=cfg.compile_opts.get("amortized", True),
     ),
 }
@@ -286,17 +297,15 @@ def cmd_verify(cfg: RunConfig) -> int:
                 f"unknown experiment {name!r}; choose from {sorted(_EXPERIMENTS)}"
             )
     problem = _problem_from_config(cfg)
-    planned = plan_pipeline(
-        problem, gd_max_steps=cfg.max_gd_steps, step_cap=cfg.max_langevin_steps
-    )
+    planned = plan_pipeline(problem, cfg.max_gd_steps, cfg.max_langevin_steps)
     trace, reg = planned.trace, planned.region
+
+    report = _report_header(cfg, "verify")
     # the Taylor and Hessian checks expand around an exact stationary point;
     # the descent output is only within m * radius / 4, so polish it first.
     # chi2 below keeps trace.final: its subject is the actual chain start.
-    set_inverse(problem, refine_inverse(problem, trace.final))
-
-    report = _report_header(cfg, "verify")
-    diag = diagnostics_report(problem, points=100, seed=cfg.seed)
+    zhat = refine_inverse(problem, trace.final)
+    diag = diagnostics_report(problem, zhat, points=100, seed=cfg.seed)
     diag["pass"] = bool(
         diag["admissible"]
         and diag["hessian_min_eigenvalue"] >= 1.0 - 1e-8
@@ -327,7 +336,7 @@ def cmd_verify(cfg: RunConfig) -> int:
     if cfg.experiments:
         report["experiments"] = {}
         for name in cfg.experiments:
-            result = _EXPERIMENTS[name](problem, cfg)
+            result = _EXPERIMENTS[name](problem, planned, cfg)
             report["experiments"][name] = result
             if not result.get("pass", True):
                 failed.append(name)

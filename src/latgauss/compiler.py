@@ -51,7 +51,7 @@ from .nets import (
     Layer,
     Network,
 )
-from .invert import GdPlan, gd_invert
+from .invert import GdPlan
 from .pipeline import PipelinePlan, run_planned_chains
 from .potential import PosteriorProblem
 from .rng import ball_points
@@ -140,8 +140,7 @@ class _Builder:
                 tags.extend(act)
             groups.append((out_name, n))
             r += n
-        uniform = tags[0] if len(set(tags)) == 1 else tags
-        self.layers.append(Layer(W, b, uniform))
+        self.layers.append(Layer(W, b, tags))
         self.frame = _Frame(groups)
 
     def network(self):
@@ -207,8 +206,7 @@ def parallel(parts, input_dim: int) -> Network:
             b[r : r + lay.rows] = lay.bias
             tags.extend(_layer_tags(lay))
             r += lay.rows
-        uniform = tags[0] if len(set(tags)) == 1 else tags
-        layers.append(Layer(W, b, uniform))
+        layers.append(Layer(W, b, tags))
     return Network(layers, input_dim)
 
 
@@ -720,24 +718,24 @@ def manifest(encoder: CompiledEncoder) -> dict:
 # -- equivalence ---------------------------------------------------------------------
 
 
+EQUIVALENCE_TOLERANCE = 1e-6  # max relative deviation the equivalence gate allows
+
+
 def equivalence_deviation(
     problem: PosteriorProblem,
-    region,
-    gd_plan: GdPlan,
-    plan: SamplerPlan,
+    planned: PipelinePlan,
     encoder: CompiledEncoder,
     stream,
     draws: int = 16,
 ) -> tuple[float, np.ndarray]:
     """Max relative gap between compiled samples and the direct pipeline.
 
-    Both sides share one noise stream; the direct side runs the full planned
-    descent (no early stop) because the encoder replays every stage. Returns
+    Both sides share one noise stream. planned is the plan the encoder was
+    compiled from (pipeline.plan_truncated), whose descent ran every planned
+    step with no early stop, as the encoder replays every stage. Returns
     (deviation, compiled samples), so a caller can hold another encoder, such
     as a reloaded artifact, to the same draws without rerunning the chains.
     """
-    trace = gd_invert(problem, gd_plan, early_stop=False)
-    planned = PipelinePlan(trace, region, gd_plan, plan)
     direct = run_planned_chains(problem, planned, stream, draws).finals
     compiled = run_encoder(encoder, problem.x, stream, np.arange(draws, dtype=np.uint64))
     gap = np.abs(compiled - direct)

@@ -8,10 +8,12 @@ separately so a reader can see which slack did the work.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 
 from .errors import DimensionError
-from .pipeline import plan_pipeline, plan_truncated, run_direct_pipeline
+from .pipeline import PipelinePlan, run_planned_chains
 from .potential import PosteriorProblem
 from .rng import normal_rows
 from .verify import build_grid_oracle, tv_distance
@@ -35,13 +37,13 @@ def tv_threshold(epsilon: float) -> float:
 
 
 def exit_fraction_experiment(
-    problem: PosteriorProblem, stream, chains: int = 1000, **pipeline_kwargs
+    problem: PosteriorProblem, planned: PipelinePlan, stream, chains: int = 1000
 ) -> dict:
-    """Fraction of unprojected chains that ever leave the region.
+    """Fraction of planned (unprojected) chains that ever leave the region.
 
     Contract: fraction <= epsilon/4 plus binomial slack 2 sqrt(epsilon/(4n)).
     """
-    result = run_direct_pipeline(problem, stream, chains, projected=False, **pipeline_kwargs)
+    result = run_planned_chains(problem, planned, stream, chains)
     frac = float(result.exited.mean())
     threshold = exit_threshold(problem.epsilon, chains)
     return {
@@ -51,25 +53,25 @@ def exit_fraction_experiment(
         "slack": exit_slack(problem.epsilon, chains),
         "threshold": float(threshold),
         "pass": bool(frac <= threshold),
-        "langevin_steps": result.plan.steps,
+        "langevin_steps": planned.plan.steps,
     }
 
 
 def posterior_tv_experiment(
     problem: PosteriorProblem,
+    planned: PipelinePlan,
     stream,
     samples: int = 10_000,
     points_per_axis: int = 2001,
-    **pipeline_kwargs,
 ) -> dict:
-    """TV between pipeline samples and the grid oracle at d = 1.
+    """TV between planned chains' samples and the grid oracle at d = 1.
 
     Contract: TV <= epsilon/2 + 0.03 binning allowance.
     """
     if problem.dim != 1:
         raise DimensionError("posterior TV experiment runs at dimension 1")
-    result = run_direct_pipeline(problem, stream, samples, projected=False, **pipeline_kwargs)
-    oracle = build_grid_oracle(problem, points_per_axis)
+    result = run_planned_chains(problem, planned, stream, samples)
+    oracle = build_grid_oracle(problem, planned.region, points_per_axis)
     tv = tv_distance(result.finals, oracle)
     threshold = tv_threshold(problem.epsilon)
     return {
@@ -80,8 +82,8 @@ def posterior_tv_experiment(
         "threshold": float(threshold),
         "pass": bool(tv <= threshold),
         "exit_fraction": float(result.exited.mean()),
-        "langevin_steps": result.plan.steps,
-        "h": result.plan.h,
+        "langevin_steps": planned.plan.steps,
+        "h": planned.plan.h,
     }
 
 
@@ -91,13 +93,14 @@ ENVELOPE_ALLOWANCE = 0.03
 
 def mixing_trend_experiment(
     problem: PosteriorProblem,
+    planned: PipelinePlan,
     stream,
     chains: int = 4000,
     snapshot_steps: list | None = None,
     points_per_axis: int = 2001,
-    **pipeline_kwargs,
 ) -> dict:
-    """TV decay of projected chains against the restricted posterior.
+    """TV decay of the planned chains, projected, against the restricted
+    posterior.
 
     Measures TV at five times and holds it against two properties: the
     sequence is non-increasing within Monte-Carlo slack, and each point stays
@@ -107,28 +110,23 @@ def mixing_trend_experiment(
     """
     if problem.dim != 1:
         raise DimensionError("mixing trend experiment runs at dimension 1")
+    plan = dataclasses.replace(planned.plan, projected=True)
     if snapshot_steps is None:
-        _, _, gd_plan, plan = plan_pipeline(problem, projected=True, **pipeline_kwargs)
         K = plan.steps
         # log-spaced from the very first step: the chain relaxes in about
         # 1/(h * curvature) ~ 1/epsilon steps, so early times show the decay
         # and the final time sits on the histogram noise floor
         snapshot_steps = sorted({min(1, K), min(4, K), min(16, K), min(64, K), K})
-        pipeline_kwargs = {**pipeline_kwargs, "gd_plan": gd_plan, "plan": plan}
-    result = run_direct_pipeline(
-        problem,
-        stream,
-        chains,
-        projected=True,
-        snapshot_steps=snapshot_steps,
-        **pipeline_kwargs,
+    result = run_planned_chains(
+        problem, planned._replace(plan=plan), stream, chains, snapshot_steps=snapshot_steps
     )
-    oracle = build_grid_oracle(problem, points_per_axis, restricted=True, region=result.region)
+    reg = planned.region
+    oracle = build_grid_oracle(problem, reg, points_per_axis, restricted=True)
     steps = sorted(result.snapshots)
-    times = [s * result.plan.h for s in steps]
+    times = [s * plan.h for s in steps]
     tvs = [float(tv_distance(result.snapshots[s], oracle)) for s in steps]
 
-    rate = 1.0 / (2.0 * result.region.radius**2)
+    rate = 1.0 / (2.0 * reg.radius**2)
     c_fit = tvs[0] / np.exp(-rate * times[0])
     envelope = [float(c_fit * np.exp(-rate * t)) for t in times]
     non_increasing = all(
@@ -219,25 +217,24 @@ def cir_comparison_experiment(
 
 def compiled_vs_direct_experiment(
     problem: PosteriorProblem,
+    planned: PipelinePlan,
     stream,
-    gd_steps: int,
-    langevin_steps: int,
     draws: int = 32,
     amortized: bool = True,
 ) -> dict:
-    """Compile a truncated plan and report the shared-noise deviation."""
-    from .compiler import compile_encoder, equivalence_deviation, manifest
+    """Compile a truncated plan (pipeline.plan_truncated) and report the
+    shared-noise deviation."""
+    from .compiler import EQUIVALENCE_TOLERANCE, compile_encoder, equivalence_deviation, manifest
 
-    _, reg, gd_plan, plan = plan_truncated(problem, gd_steps, langevin_steps)
-    encoder = compile_encoder(problem, gd_plan, plan, amortized=amortized)
-    deviation, _ = equivalence_deviation(problem, reg, gd_plan, plan, encoder, stream, draws=draws)
+    encoder = compile_encoder(problem, planned.gd_plan, planned.plan, amortized=amortized)
+    deviation, _ = equivalence_deviation(problem, planned, encoder, stream, draws=draws)
     report = manifest(encoder)
     report.update(
         {
             "draws": int(draws),
             "max_relative_deviation": float(deviation),
-            "tolerance": 1e-6,
-            "pass": bool(deviation <= 1e-6),
+            "tolerance": EQUIVALENCE_TOLERANCE,
+            "pass": bool(deviation <= EQUIVALENCE_TOLERANCE),
         }
     )
     return report

@@ -142,27 +142,6 @@ def sample_dlg_batch(
     return states
 
 
-# -- tail bound experiment -----------------------------------------------------
-
-
-def whp_norm_fraction(model: LatentGaussian, M: float, count: int, stream) -> dict:
-    """Fraction of samples with ||x|| <= 12*(M+beta)*sqrt(d).
-
-    The bound holds with probability at least 1 - 2*exp(-4d) for any generator
-    with upper Lipschitz constant M.
-    """
-    _, X = sample_x_batch(model, stream, count)
-    d = model.dim
-    threshold = 12.0 * (M + model.beta) * np.sqrt(d)
-    frac = float(np.mean(np.linalg.norm(X, axis=1) <= threshold))
-    return {
-        "threshold": threshold,
-        "fraction_within": frac,
-        "lower_bound": 1.0 - 2.0 * np.exp(-4.0 * d),
-        "count": count,
-    }
-
-
 # -- artifact IO ----------------------------------------------------------------
 
 
@@ -179,9 +158,3 @@ def write_samples_csv(path, samples: np.ndarray, prefix: str = "z", sidecar: dic
         meta.update(sidecar)
     with open(str(path) + ".json", "w") as fh:
         json.dump(meta, fh, indent=1, sort_keys=True)
-
-
-def read_samples_csv(path) -> np.ndarray:
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    return np.array([[float(v) for v in row] for row in rows[1:]], dtype=np.float64)

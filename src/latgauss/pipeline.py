@@ -1,16 +1,17 @@
 """End-to-end orchestration: inversion, region, plan, chains.
 
-Every caller that runs chains goes through here: `plan_pipeline` (or
-`plan_truncated` for compiled encoders) fixes the descent, the region and
-both plans as one `PipelinePlan`, and `run_planned_chains` draws the ball
-starts and runs the Langevin chains on one batch. The CLI, the experiment
-suite and the compiler equivalence test therefore consume noise counters in
-exactly the same way.
+A command plans once and passes the plan down. `plan_pipeline` (or
+`plan_truncated` for compiled encoders) runs the descent and fixes the
+region around its output and both plans as one `PipelinePlan`; the region's
+center is the inverse, so the problem itself never changes. The CLI, the
+experiments and the compiler equivalence test all take that plan, and
+`run_planned_chains` draws the ball starts and runs the Langevin chains on
+one batch, so every caller consumes noise counters in exactly the same way.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import dataclasses
 from typing import NamedTuple
 
 import numpy as np
@@ -19,7 +20,7 @@ from .errors import PlanTooLarge
 from .invert import GdPlan, GdTrace, gd_invert, make_gd_plan
 from .models import LatentGaussian
 from .nets import MapConstants, Network, estimate_constants
-from .potential import PosteriorProblem, RegionD, region, set_inverse
+from .potential import PosteriorProblem, RegionD, check_inverse, region
 from .sampler import (
     STEP_CAP_DEFAULT,
     PipelineStages,
@@ -64,13 +65,9 @@ class PipelinePlan(NamedTuple):
         return PipelineStages(self.gd_plan.steps, self.plan.steps)
 
 
-@dataclass
-class PipelineResult:
-    trace: GdTrace
-    region: RegionD
-    gd_plan: GdPlan
-    plan: SamplerPlan
-    stages: PipelineStages
+class ChainRun(NamedTuple):
+    """What one batch of planned chains produces."""
+
     start: np.ndarray  # perturbed chain starts, shape (chains, d)
     finals: np.ndarray
     exited: np.ndarray
@@ -79,31 +76,20 @@ class PipelineResult:
 
 def plan_pipeline(
     problem: PosteriorProblem,
-    gd_plan: GdPlan | None = None,
-    plan: SamplerPlan | None = None,
-    projected: bool = False,
     gd_max_steps: int = 1_000_000,
-    step_cap: int | None = None,
-    run_full_descent: bool = False,
+    step_cap: int = STEP_CAP_DEFAULT,
 ) -> PipelinePlan:
-    """Deterministic half of the pipeline: descent, region, both plans."""
-    if gd_plan is None:
-        gd_plan = make_gd_plan(problem, max_steps=gd_max_steps)
-    trace = gd_invert(problem, gd_plan, early_stop=not run_full_descent)
-    set_inverse(problem, trace.final)
-    reg = region(problem)
-    if plan is None:
-        kwargs = {} if step_cap is None else {"step_cap": step_cap}
-        plan = make_sampler_plan(problem, reg, **kwargs)
-    if projected != plan.projected:
-        plan = SamplerPlan(
-            horizon=plan.horizon,
-            h=plan.h,
-            steps=plan.steps,
-            init_radius=plan.init_radius,
-            projected=projected,
-        )
-    return PipelinePlan(trace, reg, gd_plan, plan)
+    """Deterministic half of the pipeline: descent with early stop, the
+    region around its output, and the unprojected Langevin plan.
+
+    Raises InitializationError when the descent output misses the chain
+    start precondition (check_inverse), as a too-low descent cap can cause.
+    """
+    gd_plan = make_gd_plan(problem, max_steps=gd_max_steps)
+    trace = gd_invert(problem, gd_plan)
+    check_inverse(problem, trace.final)
+    reg = region(problem, trace.final)
+    return PipelinePlan(trace, reg, gd_plan, make_sampler_plan(problem, reg, step_cap=step_cap))
 
 
 def plan_truncated(
@@ -136,16 +122,8 @@ def plan_truncated(
     base = make_gd_plan(problem, max_steps=gd_max_steps)
     gd_plan = GdPlan(eta=base.eta, steps=gd_steps, Q=base.Q, delta=base.delta)
     trace = gd_invert(problem, gd_plan, early_stop=False)
-    set_inverse(problem, trace.final, validate=False)
-    reg = region(problem)
-    full = make_sampler_plan(problem, reg, step_cap=step_cap)
-    plan = SamplerPlan(
-        horizon=full.horizon,
-        h=full.h,
-        steps=langevin_steps,
-        init_radius=full.init_radius,
-        projected=False,
-    )
+    reg = region(problem, trace.final)
+    plan = dataclasses.replace(make_sampler_plan(problem, reg, step_cap=step_cap), steps=langevin_steps)
     return PipelinePlan(trace, reg, gd_plan, plan)
 
 
@@ -155,7 +133,7 @@ def run_planned_chains(
     stream,
     chains: int,
     snapshot_steps: list | None = None,
-) -> PipelineResult:
+) -> ChainRun:
     """Perturbed starts and Langevin chains 0..chains-1, in one batch.
 
     Stage numbering: descent consumes no noise but owns stages 1..S, the ball
@@ -165,46 +143,10 @@ def run_planned_chains(
     descent happened to converge. Every word is keyed on the absolute chain
     index, so any split of the chains would give the same samples.
     """
-    trace, reg, gd_plan, plan = planned
     stages = planned.stages
     idx = np.arange(chains, dtype=np.uint64)
-    Z0 = initialize_batch(problem, reg, trace.final, stream, stages, idx)
+    Z0 = initialize_batch(problem, planned.region, planned.trace.final, stream, stages, idx)
     finals, exited, snapshots = run_chains(
-        problem, reg, plan, Z0, stream, stages, chains=idx, snapshot_steps=snapshot_steps
+        problem, planned.region, planned.plan, Z0, stream, stages, idx, snapshot_steps
     )
-    return PipelineResult(
-        trace=trace,
-        region=reg,
-        gd_plan=gd_plan,
-        plan=plan,
-        stages=stages,
-        start=Z0,
-        finals=finals,
-        exited=exited,
-        snapshots=snapshots,
-    )
-
-
-def run_direct_pipeline(
-    problem: PosteriorProblem,
-    stream,
-    chains: int,
-    gd_plan: GdPlan | None = None,
-    plan: SamplerPlan | None = None,
-    projected: bool = False,
-    snapshot_steps: list | None = None,
-    gd_max_steps: int = 1_000_000,
-    step_cap: int | None = None,
-    run_full_descent: bool = False,
-) -> PipelineResult:
-    """invert -> region -> plan -> perturbed start -> Langevin chains."""
-    planned = plan_pipeline(
-        problem,
-        gd_plan=gd_plan,
-        plan=plan,
-        projected=projected,
-        gd_max_steps=gd_max_steps,
-        step_cap=step_cap,
-        run_full_descent=run_full_descent,
-    )
-    return run_planned_chains(problem, planned, stream, chains, snapshot_steps=snapshot_steps)
+    return ChainRun(Z0, finals, exited, snapshots)

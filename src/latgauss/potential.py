@@ -19,7 +19,7 @@ is deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,7 +38,6 @@ class PosteriorProblem:
     x: np.ndarray
     constants: MapConstants
     epsilon: float = 0.1
-    zhat: np.ndarray | None = field(default=None)
 
     def __post_init__(self):
         self.x = np.asarray(self.x, dtype=np.float64)
@@ -142,10 +141,8 @@ def beta0_threshold(problem: PosteriorProblem) -> float:
     return (4.0 / (d * np.sqrt(q * logq))) * min(term1, term2)
 
 
-def region(problem: PosteriorProblem) -> RegionD:
-    """Effective region around problem.zhat. Requires the inverse to be set."""
-    if problem.zhat is None:
-        raise InitializationError("region requires problem.zhat; run inversion first")
+def region(problem: PosteriorProblem, center: np.ndarray) -> RegionD:
+    """Effective region around center, the computed inverse."""
     c = problem.constants
     d = problem.dim
     radius = float(region_radius(problem))
@@ -154,7 +151,7 @@ def region(problem: PosteriorProblem) -> RegionD:
     cap2 = c.m / np.sqrt(2.0 * np.sqrt(d) * c.M * c.M3) if c.M3 > 0 else np.inf
     cap = float(min(cap1, cap2))
     return RegionD(
-        center=np.asarray(problem.zhat, dtype=np.float64),
+        center=np.asarray(center, dtype=np.float64),
         radius=radius,
         beta0=beta0,
         admissible=bool(problem.beta <= beta0),
@@ -163,8 +160,8 @@ def region(problem: PosteriorProblem) -> RegionD:
     )
 
 
-def set_inverse(problem: PosteriorProblem, zhat: np.ndarray, validate: bool = True) -> dict:
-    """Store the computed inverse on the problem and check its contracts.
+def check_inverse(problem: PosteriorProblem, zhat: np.ndarray, validate: bool = True) -> dict:
+    """Check a computed inverse's contracts and report them.
 
     Checks (when validate): residual ||G(zhat) - x|| <= m * rad/4 (the chain
     initialization precondition) and ||zhat|| <= ||x||/m + tolerance.
@@ -183,7 +180,6 @@ def set_inverse(problem: PosteriorProblem, zhat: np.ndarray, validate: bool = Tr
                 residual=residual,
                 allowed=m * rad / 4.0,
             )
-    problem.zhat = zhat
     return {
         "residual": residual,
         "allowed_residual": m * rad / 4.0,
@@ -229,7 +225,9 @@ def refine_inverse(problem: PosteriorProblem, z0: np.ndarray, tol: float = 1e-13
 # -- local expansion -------------------------------------------------------------
 
 
-def taylor_remainder_check(problem: PosteriorProblem, z: np.ndarray) -> tuple[float, float]:
+def taylor_remainder_check(
+    problem: PosteriorProblem, zhat: np.ndarray, z: np.ndarray
+) -> tuple[float, float]:
     """(measured, bound) for the first-order expansion of grad L around zhat.
 
     measured = ||grad L(z) - zhat - Hess L(zhat) (z - zhat)|| using the exact
@@ -238,12 +236,10 @@ def taylor_remainder_check(problem: PosteriorProblem, z: np.ndarray) -> tuple[fl
 
         (sqrt(d) M / (2 beta^2)) * (3 sqrt(d) M2 + M3 ||z - zhat||) * ||z - zhat||^2.
     """
-    if problem.zhat is None:
-        raise InitializationError("taylor_remainder_check requires problem.zhat")
     c = problem.constants
     g = problem.model.generator
     z = np.asarray(z, dtype=np.float64)
-    zhat = problem.zhat
+    zhat = np.asarray(zhat, dtype=np.float64)
     d = problem.dim
     delta = z - zhat
     J = g.jacobian(zhat)
@@ -265,12 +261,15 @@ def taylor_remainder_check(problem: PosteriorProblem, z: np.ndarray) -> tuple[fl
 # -- diagnostics -----------------------------------------------------------------
 
 
-def diagnostics_report(problem: PosteriorProblem, points: int = 100, seed: int = 0) -> dict:
+def diagnostics_report(
+    problem: PosteriorProblem, zhat: np.ndarray, points: int = 100, seed: int = 0
+) -> dict:
     """JSON-ready report: region numbers, Hessian eigenvalue range, worst
-    Taylor remainder ratio, all over `points` draws from the region."""
+    Taylor remainder ratio, all over `points` draws from the region around
+    zhat, which should be an exact stationary point (refine_inverse)."""
     from .rng import NoiseStream, ball_points
 
-    reg = region(problem)
+    reg = region(problem, zhat)
     stream = NoiseStream(seed)
     offsets = ball_points(stream, 0, np.arange(points, dtype=np.uint64), problem.dim, reg.radius)
     zs = reg.center + offsets
@@ -282,7 +281,7 @@ def diagnostics_report(problem: PosteriorProblem, points: int = 100, seed: int =
         eigs = np.linalg.eigvalsh(hess_potential(problem, z))
         min_eig = min(min_eig, float(eigs[0]))
         max_eig = max(max_eig, float(eigs[-1]))
-        measured, bound = taylor_remainder_check(problem, z)
+        measured, bound = taylor_remainder_check(problem, reg.center, z)
         if bound > 0:
             worst_ratio = max(worst_ratio, measured / bound)
             worst_margin = min(worst_margin, bound - measured)

@@ -82,24 +82,17 @@ class PipelineStages:
 def make_sampler_plan(
     problem: PosteriorProblem,
     region: RegionD,
-    projected: bool = False,
     step_cap: int = STEP_CAP_DEFAULT,
-    h_override: float | None = None,
 ) -> SamplerPlan:
-    """Plan from the displayed formulas; h_override replaces the step rule."""
+    """Unprojected plan from the displayed formulas."""
     c = problem.constants
     eps = problem.epsilon
     rad = region.radius
     horizon = (2.0 * rad) ** 2 * np.log(1.0 / eps)
-    if h_override is not None:
-        h = float(h_override)
-        if h <= 0:
-            raise ValueError("h_override must be positive")
-    else:
-        h = min(
-            eps * problem.beta**2 / (c.M**2 + c.m**2),
-            rad**2 * eps**2 / max(problem.dim, 1),
-        )
+    h = min(
+        eps * problem.beta**2 / (c.M**2 + c.m**2),
+        rad**2 * eps**2 / max(problem.dim, 1),
+    )
     if horizon <= 0.0 or h <= 0.0:
         raise DegeneratePlan(
             "planned horizon or step collapsed to zero", horizon=horizon, h=h
@@ -119,7 +112,7 @@ def make_sampler_plan(
         h=float(h),
         steps=steps,
         init_radius=region.radius / 4.0,
-        projected=projected,
+        projected=False,
     )
 
 
@@ -205,8 +198,11 @@ def run_chains(
     noise_rows = normal_rows(
         stream, stages.langevin_stage(0), plan.steps, chains, Z.shape[1], scale=sqrt2h
     )
+    lone = len(Z) == 1
     for k, noise in enumerate(noise_rows):
-        grad = grad_potential_batch(problem, Z)
+        # numpy multiplies a lone row with other kernels than a batch, which
+        # round differently; doubling it keeps a chain equal to its batch row
+        grad = grad_potential_batch(problem, np.repeat(Z, 2, axis=0) if lone else Z)[: len(Z)]
         if not np.isfinite(grad).all():
             bad = int(np.argmax(~np.all(np.isfinite(grad), axis=1)))
             raise NumericalBlowup(

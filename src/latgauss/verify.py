@@ -98,23 +98,20 @@ def _grid_log_density(problem: PosteriorProblem, axes: tuple) -> np.ndarray:
 
 def build_grid_oracle(
     problem: PosteriorProblem,
+    region: RegionD,
     points_per_axis: int = 2001,
     restricted: bool = False,
-    region: RegionD | None = None,
 ) -> GridOracle:
-    """Tabulate e^{-L} around zhat; half-width max(6 beta / m, 2 radius).
+    """Tabulate e^{-L} around the region's center; half-width
+    max(6 beta / m, 2 radius).
 
     Restricted mode zeroes the density outside the region ball and
     renormalizes, matching the reflected/projected chain's stationary target.
     """
     if problem.dim > 2:
         raise DimensionError("grid oracles support dimension 1 and 2 only")
-    if problem.zhat is None:
-        raise SupportError("grid oracle needs problem.zhat; run inversion first")
-    from .potential import region_radius
-
-    radius = region.radius if region is not None else region_radius(problem)
-    center = np.asarray(problem.zhat, dtype=np.float64)
+    radius = region.radius
+    center = np.asarray(region.center, dtype=np.float64)
     hw = max(6.0 * problem.beta / problem.constants.m, 2.0 * radius)
     n = int(points_per_axis)
     if n < 3:
@@ -210,22 +207,6 @@ def tv_distance(samples: np.ndarray, oracle: GridOracle, bins: int | None = None
     emp = hist / n
     orc = _oracle_bin_mass(oracle, bins)
     return float(0.5 * (np.abs(emp - orc).sum() + outside_frac))
-
-
-def split_half_tv(samples: np.ndarray, oracle: GridOracle, bins: int | None = None) -> float:
-    """TV between the histograms of the two halves of one sample set."""
-    samples = np.atleast_2d(np.asarray(samples, dtype=np.float64))
-    half = len(samples) // 2
-    a, b = samples[:half], samples[half : 2 * half]
-    if bins is None:
-        bins = MAX_TV_BINS
-    bins = min(bins, MAX_TV_BINS)
-    edges = [_bin_edges(oracle, ax, bins) for ax in range(oracle.dimension)]
-    ha, _ = np.histogramdd(a, bins=edges)
-    hb, _ = np.histogramdd(b, bins=edges)
-    ha = ha / len(a)
-    hb = hb / len(b)
-    return float(0.5 * np.abs(ha - hb).sum())
 
 
 # -- drawing from a 1-d oracle --------------------------------------------------------

@@ -32,7 +32,7 @@ from latgauss.lowerbound import (
 )
 from latgauss.models import LatentGaussian
 from latgauss.nets import MapConstants, estimate_constants
-from latgauss.pipeline import build_problem, plan_pipeline
+from latgauss.pipeline import build_problem, plan_pipeline, plan_truncated
 from latgauss.potential import (
     PosteriorProblem,
     diagnostics_report,
@@ -41,7 +41,6 @@ from latgauss.potential import (
     potential,
     refine_inverse,
     region,
-    set_inverse,
     taylor_remainder_check,
 )
 from latgauss.rng import NoiseStream, ball_points
@@ -175,7 +174,8 @@ def test_posterior_samples_match_grid_oracle():
         ("tanh residual", lambda b: tanh_problem(d=1, beta=b)),
     ]:
         for beta in (0.05, 0.1):
-            rep = posterior_tv_experiment(mk(beta), NoiseStream(33), samples=10_000)
+            problem = mk(beta)
+            rep = posterior_tv_experiment(problem, plan_pipeline(problem), NoiseStream(33), samples=10_000)
             assert rep["pass"], f"{label} beta={beta}: tv={rep['tv']:.4f}"
             assert rep["threshold"] == pytest.approx(0.08)
             if rep["tv"] > worst[1]:
@@ -194,7 +194,7 @@ def test_unprojected_chains_stay_in_region():
         identity_problem(d=2, x=[0.9, 0.9]),
         tanh_problem(d=2, x=[0.9, 0.9]),
     ]:
-        rep = exit_fraction_experiment(problem, NoiseStream(44), chains=1000)
+        rep = exit_fraction_experiment(problem, plan_pipeline(problem), NoiseStream(44), chains=1000)
         assert rep["pass"], f"d={problem.dim}: exit {rep['exit_fraction']:.4f} > {rep['threshold']:.4f}"
         assert rep["threshold"] == pytest.approx(0.1 / 4 + 2 * np.sqrt(0.1 / 4000))
         fracs.append(rep["exit_fraction"])
@@ -221,7 +221,8 @@ _FAMILY = None
 
 
 def admissible_family():
-    """Problems shared by the convexity and Taylor checks, inverse refined."""
+    """Problems shared by the convexity and Taylor checks, each with its
+    region around the refined inverse."""
     global _FAMILY
     if _FAMILY is not None:
         return _FAMILY
@@ -238,18 +239,20 @@ def admissible_family():
         x = 0.5 * np.random.default_rng(seed).normal(size=d)
         prob = build_problem(net, beta, x, constants_samples=512, constants_seed=seed)
         problems.append((f"random residual d={d}", prob, False))
-    for _, prob, _ in problems:
-        set_inverse(prob, refine_inverse(prob, np.zeros(prob.dim)))
-        assert region(prob).admissible
-    _FAMILY = problems
-    return problems
+    family = []
+    for label, prob, linear in problems:
+        reg = region(prob, refine_inverse(prob, np.zeros(prob.dim)))
+        assert reg.admissible
+        family.append((label, prob, linear, reg))
+    _FAMILY = family
+    return family
 
 
 def test_hessian_strongly_convex_on_region():
     t0 = time.time()
     min_eig = np.inf
-    for label, prob, _ in admissible_family():
-        diag = diagnostics_report(prob, points=100, seed=6)
+    for label, prob, _, reg in admissible_family():
+        diag = diagnostics_report(prob, reg.center, points=100, seed=6)
         assert diag["admissible"], label
         assert diag["hessian_min_eigenvalue"] >= 1.0 - 1e-8, label
         min_eig = min(min_eig, diag["hessian_min_eigenvalue"])
@@ -261,13 +264,12 @@ def test_hessian_strongly_convex_on_region():
 def test_taylor_remainder_within_bound():
     t0 = time.time()
     worst_ratio, worst_linear = 0.0, 0.0
-    for label, prob, linear in admissible_family():
-        reg = region(prob)
+    for label, prob, linear, reg in admissible_family():
         pts = reg.center + ball_points(
             NoiseStream(7), 0, np.arange(1000, dtype=np.uint64), prob.dim, reg.radius
         )
         for z in pts:
-            measured, bound = taylor_remainder_check(prob, z)
+            measured, bound = taylor_remainder_check(prob, reg.center, z)
             if linear:
                 # zero up to float cancellation of terms of size |H||dz|
                 assert bound == 0.0, label
@@ -288,8 +290,7 @@ def test_compiled_encoder_matches_direct_pipeline():
     for d, amortized in [(1, True), (2, True), (3, True), (2, False)]:
         prob = tanh_problem(d=d, beta=0.1, x=[0.9] * d)
         rep = compiled_vs_direct_experiment(
-            prob, NoiseStream(88), gd_steps=50, langevin_steps=200, draws=16,
-            amortized=amortized,
+            prob, plan_truncated(prob, 50, 200), NoiseStream(88), draws=16, amortized=amortized
         )
         assert rep["pass"], f"d={d} amortized={amortized}: {rep['max_relative_deviation']}"
         assert rep["total_stages"] == 253
@@ -371,7 +372,8 @@ def test_sign_generator_demo_rates():
 
 def test_projected_chain_tv_decays_under_envelope():
     t0 = time.time()
-    rep = mixing_trend_experiment(tanh_problem(d=1), NoiseStream(3), chains=4000)
+    problem = tanh_problem(d=1)
+    rep = mixing_trend_experiment(problem, plan_pipeline(problem), NoiseStream(3), chains=4000)
     ok = rep["pass"] and rep["tv"][-1] < rep["tv"][0]
     gate(11, "projected chain mixing trend",
          ok, f"tv {[round(v, 3) for v in rep['tv']]} under envelope "

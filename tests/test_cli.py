@@ -1,12 +1,13 @@
 import json
+import sys
 
 import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from latgauss import cli
+from latgauss import cli, invert
 from latgauss.nets import MapConstants, tanh_residual_net
-from latgauss.pipeline import build_problem, run_direct_pipeline
+from latgauss.pipeline import build_problem, plan_pipeline, run_planned_chains
 from latgauss.rng import NoiseStream
 
 IDENTITY_CONSTANTS = {"m": 1.0, "M": 1.0, "M2": 0.0, "M3": 0.0}
@@ -106,7 +107,7 @@ def test_sample_worker_count_does_not_change_output(tmp_path):
 
 
 def test_sample_writes_direct_pipeline_finals(tmp_path):
-    # the CLI runs chains through the same path as run_direct_pipeline, on
+    # the CLI plans once and runs chains through run_planned_chains, on
     # stream seed + 1, so its samples are the library's finals bit for bit
     raw = {"generator": {"builtin": "tanh-residual", "alpha": 0.5}, "d": 1, "beta": 0.1,
            "epsilon": 0.5, "x": [0.6], "constants": TANH_CONSTANTS, "samples": 40, "seed": 3}
@@ -117,7 +118,7 @@ def test_sample_writes_direct_pipeline_finals(tmp_path):
         tanh_residual_net(1, 0.5), 0.1, np.array([0.6]), epsilon=0.5,
         constants=MapConstants(**TANH_CONSTANTS),
     )
-    want = run_direct_pipeline(problem, NoiseStream(4), 40).finals
+    want = run_planned_chains(problem, plan_pipeline(problem), NoiseStream(4), 40).finals
     got = np.loadtxt(out / "samples.csv", delimiter=",", skiprows=1, ndmin=2)
     assert np.array_equal(got, want)
 
@@ -199,6 +200,59 @@ def test_verify_passes_on_smooth_problem(tmp_path):
     assert rep["diagnostics"]["pass"]
     assert rep["chi2"]["pass"]
     assert "moments" not in rep  # nonlinear generator has no Gaussian oracle
+
+
+def count_descents(monkeypatch):
+    """Count gd_invert calls through every latgauss module that binds it."""
+    calls = []
+    original = invert.gd_invert
+
+    def counted(*args, **kwargs):
+        calls.append(args[1].steps)
+        return original(*args, **kwargs)
+
+    for module in list(sys.modules.values()):
+        name = getattr(module, "__name__", "")
+        if name.startswith("latgauss") and getattr(module, "gd_invert", None) is original:
+            monkeypatch.setattr(module, "gd_invert", counted)
+    return calls
+
+
+# planned descent of 99 steps; the descent converges in under 10
+SMALL_VERIFY = {"generator": {"builtin": "tanh-residual", "alpha": 0.5}, "d": 1, "beta": 0.1,
+                "epsilon": 0.5, "x": [1.5], "constants": TANH_CONSTANTS, "chains": 100,
+                "samples": 200, "compile": {"gd_steps": 4, "langevin_steps": 10}}
+
+
+def test_commands_plan_once(tmp_path, monkeypatch):
+    # verify: one descent for the command's plan, one for the compiled
+    # experiment's truncated plan; compile: one for its truncated plan
+    raw = dict(SMALL_VERIFY, experiments=["exit", "tv", "mixing", "compiled"])
+    cfgp = write_config(tmp_path, "c.json", raw)
+    calls = count_descents(monkeypatch)
+    run(["verify", "--config", cfgp, "--out", str(tmp_path / "v")])
+    assert len(read_json(tmp_path / "v" / "verify_report.json")["experiments"]) == 4
+    assert calls == [99, 4]
+    calls.clear()
+    assert run(["compile", "--config", cfgp, "--out", str(tmp_path / "c")]) == 0
+    assert calls == [4]
+
+
+def test_verify_experiments_run_on_the_capped_plan(tmp_path, monkeypatch):
+    # a descent cap below the planned 99 steps still converges, and the
+    # experiments run on the command's capped plan
+    raw = dict(SMALL_VERIFY, experiments=["exit"], caps={"max_gd_steps": 20})
+    cfgp = write_config(tmp_path, "c.json", raw)
+    seen = []
+    original = cli.exit_fraction_experiment
+
+    def spy(problem, planned, stream, chains):
+        seen.append(planned.gd_plan.steps)
+        return original(problem, planned, stream, chains)
+
+    monkeypatch.setattr(cli, "exit_fraction_experiment", spy)
+    run(["verify", "--config", cfgp, "--out", str(tmp_path / "v")])
+    assert seen == [20]
 
 
 def test_verify_rejects_unknown_experiment(tmp_path, capsys):

@@ -21,11 +21,9 @@ from latgauss.compiler import (
     step_network,
 )
 from latgauss.errors import UnsupportedDifferentiation
-from latgauss.invert import GdPlan, gd_invert, make_gd_plan
 from latgauss.nets import Layer, Network
-from latgauss.potential import refine_inverse, region, set_inverse
+from latgauss.pipeline import plan_truncated
 from latgauss.rng import NoiseStream
-from latgauss.sampler import SamplerPlan, make_sampler_plan
 
 rng = np.random.default_rng(7)
 
@@ -163,33 +161,20 @@ def test_step_network_exact():
 
 def compiled_setup(d=2, gd_steps=40, langevin_steps=150):
     problem = tanh_problem(d=d, beta=0.1, x=[0.8, -0.4][:d])
-    plan0 = make_gd_plan(problem)
-    gd_plan = GdPlan(eta=plan0.eta, steps=gd_steps, Q=plan0.Q, delta=plan0.delta)
-    trace = gd_invert(problem, gd_plan, early_stop=False)
-    set_inverse(problem, trace.final)
-    reg = region(problem)
-    full = make_sampler_plan(problem, reg)
-    plan = SamplerPlan(
-        horizon=full.horizon,
-        h=full.h,
-        steps=langevin_steps,
-        init_radius=full.init_radius,
-        projected=False,
-    )
-    return problem, reg, gd_plan, plan
+    return problem, plan_truncated(problem, gd_steps, langevin_steps)
 
 
 @pytest.mark.parametrize("amortized", [True, False])
 def test_encoder_equivalence(amortized):
-    problem, reg, gd_plan, plan = compiled_setup()
-    enc = compile_encoder(problem, gd_plan, plan, amortized=amortized)
-    dev, _ = equivalence_deviation(problem, reg, gd_plan, plan, enc, NoiseStream(20260819), draws=32)
+    problem, planned = compiled_setup()
+    enc = compile_encoder(problem, planned.gd_plan, planned.plan, amortized=amortized)
+    dev, _ = equivalence_deviation(problem, planned, enc, NoiseStream(20260819), draws=32)
     assert dev <= 1e-6
 
 
 def test_encoder_round_trip_bitwise(tmp_path):
-    problem, reg, gd_plan, plan = compiled_setup()
-    enc = compile_encoder(problem, gd_plan, plan)
+    problem, planned = compiled_setup()
+    enc = compile_encoder(problem, planned.gd_plan, planned.plan)
     path = tmp_path / "enc.json"
     save_encoder(enc, path)
     enc2 = load_encoder(path)
@@ -201,8 +186,8 @@ def test_encoder_round_trip_bitwise(tmp_path):
 
 
 def test_encoder_samples_do_not_depend_on_noise_block_size(monkeypatch):
-    problem, reg, gd_plan, plan = compiled_setup(gd_steps=5, langevin_steps=40)
-    enc = compile_encoder(problem, gd_plan, plan)
+    problem, planned = compiled_setup(gd_steps=5, langevin_steps=40)
+    enc = compile_encoder(problem, planned.gd_plan, planned.plan)
     draws = np.arange(8, dtype=np.uint64) * 2 + 1
     width = max(net.output_dim for net, var in enc.dlg.stages if var > 0.0)
     runs = []
@@ -215,8 +200,8 @@ def test_encoder_samples_do_not_depend_on_noise_block_size(monkeypatch):
 
 
 def test_manifest_fields():
-    problem, reg, gd_plan, plan = compiled_setup(gd_steps=5, langevin_steps=10)
-    enc = compile_encoder(problem, gd_plan, plan)
+    problem, planned = compiled_setup(gd_steps=5, langevin_steps=10)
+    enc = compile_encoder(problem, planned.gd_plan, planned.plan)
     m = manifest(enc)
     assert m["gd_stage_count"] == 5
     assert m["langevin_stage_count"] == 10

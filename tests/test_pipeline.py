@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -11,23 +13,16 @@ from latgauss.experiments import (
     posterior_tv_experiment,
 )
 from latgauss.nets import tanh_residual_net
-from latgauss.pipeline import build_problem, plan_pipeline, run_direct_pipeline
+from latgauss.pipeline import build_problem, plan_pipeline, plan_truncated, run_planned_chains
 from latgauss.rng import NoiseStream
-from latgauss.sampler import SamplerPlan
 
 
-def shortened(problem, steps, projected=False, **kwargs):
-    """Plans with the Langevin leg cut to `steps`; the chain relaxes in about
-    1/epsilon steps so this keeps unit tests fast without moving the target."""
-    trace, reg, gd_plan, plan = plan_pipeline(problem, projected=projected, **kwargs)
-    short = SamplerPlan(
-        horizon=plan.horizon,
-        h=plan.h,
-        steps=min(steps, plan.steps),
-        init_radius=plan.init_radius,
-        projected=projected,
-    )
-    return gd_plan, short
+def shortened(problem, steps):
+    """The plan with its Langevin leg cut to `steps`; the chain relaxes in
+    about 1/epsilon steps so this keeps unit tests fast without moving the
+    target."""
+    planned = plan_pipeline(problem)
+    return planned._replace(plan=dataclasses.replace(planned.plan, steps=min(steps, planned.plan.steps)))
 
 
 def test_build_problem_uses_supplied_constants():
@@ -55,54 +50,55 @@ def test_plan_pipeline_deterministic():
     assert a[1].radius == b[1].radius
 
 
-def test_plan_pipeline_projected_flag_only_flips_projection():
-    prob1 = tanh_problem(d=1)
-    prob2 = tanh_problem(d=1)
-    _, _, _, free = plan_pipeline(prob1, projected=False)
-    _, _, _, proj = plan_pipeline(prob2, projected=True)
-    assert not free.projected and proj.projected
-    assert free.h == proj.h and free.steps == proj.steps
+def test_planning_leaves_the_problem_unchanged():
+    # one problem planned twice, with a truncated plan in between, gives the
+    # plans and chains of fresh problems: the inverse lives in the plan
+    prob = tanh_problem(d=2, x=[0.9, -0.4])
+    before = dict(vars(prob))
+    first = plan_pipeline(prob)
+    truncated = plan_truncated(prob, 5, 20)
+    second = plan_pipeline(prob)
+    assert vars(prob).keys() == before.keys()
+    assert all(vars(prob)[key] is value for key, value in before.items())
+
+    fresh = plan_pipeline(tanh_problem(d=2, x=[0.9, -0.4]))
+    fresh_truncated = plan_truncated(tanh_problem(d=2, x=[0.9, -0.4]), 5, 20)
+    for a, b in [(first, fresh), (second, fresh), (truncated, fresh_truncated)]:
+        assert np.array_equal(a.trace.final, b.trace.final)
+        assert np.array_equal(a.region.center, b.region.center)
+        assert a.region.radius == b.region.radius
+        assert a.gd_plan == b.gd_plan and a.plan == b.plan
+    short = shortened(prob, 30)
+    want = run_planned_chains(tanh_problem(d=2, x=[0.9, -0.4]), short, NoiseStream(2), 12)
+    got = run_planned_chains(prob, short, NoiseStream(2), 12)
+    assert np.array_equal(got.finals, want.finals)
+    assert np.array_equal(got.exited, want.exited)
 
 
-def test_run_direct_pipeline_shapes_and_snapshots():
+def test_run_planned_chains_shapes_and_snapshots():
     prob = identity_problem(d=2, x=[0.5, -0.5])
-    gd_plan, plan = shortened(prob, 50)
-    prob2 = identity_problem(d=2, x=[0.5, -0.5])
-    res = run_direct_pipeline(
-        prob2,
-        NoiseStream(3),
-        chains=16,
-        gd_plan=gd_plan,
-        plan=plan,
-        snapshot_steps=[10, 50],
-    )
+    planned = shortened(prob, 50)
+    res = run_planned_chains(prob, planned, NoiseStream(3), 16, snapshot_steps=[10, 50])
     assert res.finals.shape == (16, 2)
     assert res.start.shape == (16, 2)
     assert res.exited.shape == (16,) and res.exited.dtype == bool
     assert set(res.snapshots) == {10, 50}
     assert res.snapshots[10].shape == (16, 2)
     assert np.array_equal(res.snapshots[50], res.finals)
-    assert res.stages.total == gd_plan.steps + plan.steps + 3
+    assert planned.stages.total == planned.gd_plan.steps + 50 + 3
 
 
 def test_pipeline_repeatable_for_fixed_seed():
     def run():
         prob = tanh_problem(d=1)
-        gd_plan, plan = shortened(prob, 40)
-        prob2 = tanh_problem(d=1)
-        return run_direct_pipeline(
-            prob2, NoiseStream(7), chains=8, gd_plan=gd_plan, plan=plan
-        ).finals
+        return run_planned_chains(prob, shortened(prob, 40), NoiseStream(7), 8).finals
 
     assert np.array_equal(run(), run())
 
 
 def test_exit_fraction_experiment_contract():
     prob = identity_problem(d=1)
-    gd_plan, plan = shortened(prob, 600)
-    rep = exit_fraction_experiment(
-        identity_problem(d=1), NoiseStream(21), chains=400, gd_plan=gd_plan, plan=plan
-    )
+    rep = exit_fraction_experiment(prob, shortened(prob, 600), NoiseStream(21), chains=400)
     assert rep["pass"]
     assert rep["threshold"] == pytest.approx(
         0.1 / 4 + 2 * np.sqrt(0.1 / (4 * 400))
@@ -112,34 +108,29 @@ def test_exit_fraction_experiment_contract():
 
 def test_posterior_tv_experiment_small_run():
     prob = identity_problem(d=1)
-    gd_plan, plan = shortened(prob, 3000)
-    rep = posterior_tv_experiment(
-        identity_problem(d=1), NoiseStream(22), samples=4000, gd_plan=gd_plan, plan=plan
-    )
+    rep = posterior_tv_experiment(prob, shortened(prob, 3000), NoiseStream(22), samples=4000)
     assert rep["pass"]
     assert rep["tv"] <= rep["threshold"] == pytest.approx(0.08)
 
 
 def test_posterior_tv_requires_dimension_one():
+    prob = identity_problem(d=2, x=[0.5, 0.5])
     with pytest.raises(DimensionError):
-        posterior_tv_experiment(identity_problem(d=2, x=[0.5, 0.5]), NoiseStream(1), samples=10)
+        posterior_tv_experiment(prob, plan_pipeline(prob), NoiseStream(1), samples=10)
 
 
 def test_mixing_trend_experiment_small_run():
     prob = identity_problem(d=1)
-    gd_plan, plan = shortened(prob, 1200, projected=True)
+    planned = shortened(prob, 1200)
     rep = mixing_trend_experiment(
-        identity_problem(d=1),
-        NoiseStream(23),
-        chains=3000,
-        snapshot_steps=[1, 4, 16, 64, 1200],
-        gd_plan=gd_plan,
-        plan=plan,
+        prob, planned, NoiseStream(23), chains=3000, snapshot_steps=[1, 4, 16, 64, 1200]
     )
     assert rep["pass"]
     assert len(rep["tv"]) == 5 == len(rep["envelope"])
     assert rep["non_increasing"] and rep["below_envelope"]
     assert rep["tv"][-1] < rep["tv"][0]
+    assert rep["times"][-1] == 1200 * planned.plan.h
+    assert not planned.plan.projected  # the experiment projects a copy
 
 
 def test_cir_comparison_experiment():
@@ -159,13 +150,8 @@ def test_cir_comparison_rejects_nonlinear():
 
 
 def test_compiled_vs_direct_experiment():
-    rep = compiled_vs_direct_experiment(
-        tanh_problem(d=2, x=[0.9, -0.4]),
-        NoiseStream(25),
-        gd_steps=20,
-        langevin_steps=80,
-        draws=8,
-    )
+    prob = tanh_problem(d=2, x=[0.9, -0.4])
+    rep = compiled_vs_direct_experiment(prob, plan_truncated(prob, 20, 80), NoiseStream(25), draws=8)
     assert rep["pass"]
     assert rep["max_relative_deviation"] <= 1e-6
     assert rep["total_stages"] == 20 + 80 + 3

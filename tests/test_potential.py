@@ -5,6 +5,7 @@ from conftest import identity_problem, scale_problem, tanh_problem
 from latgauss.errors import InitializationError
 from latgauss.potential import (
     beta0_threshold,
+    check_inverse,
     diagnostics_report,
     grad_potential,
     grad_potential_batch,
@@ -14,7 +15,6 @@ from latgauss.potential import (
     refine_inverse,
     region,
     region_radius,
-    set_inverse,
     taylor_remainder_check,
 )
 
@@ -76,26 +76,21 @@ def test_region_radius_worked_example():
     assert np.isclose(region_radius(prob), 0.271725, atol=5e-7)
 
 
-def test_region_requires_inverse():
-    prob = identity_problem(d=1)
-    with pytest.raises(InitializationError):
-        region(prob)
-
-
 def test_region_center_and_admissibility():
     prob = identity_problem(d=1, beta=0.1, x=[0.9])
-    set_inverse(prob, np.array([0.9]))
-    reg = region(prob)
+    reg = region(prob, np.array([0.9]))
     assert np.array_equal(reg.center, np.array([0.9]))
     assert reg.radius == pytest.approx(region_radius(prob))
     assert reg.admissible  # beta = 0.1 is below the threshold for this problem
     assert beta0_threshold(prob) > 0.1
 
 
-def test_set_inverse_rejects_bad_point():
+def test_check_inverse_rejects_bad_point():
     prob = identity_problem(d=1, beta=0.05, x=[0.9])
     with pytest.raises(InitializationError):
-        set_inverse(prob, np.array([5.0]))
+        check_inverse(prob, np.array([5.0]))
+    info = check_inverse(prob, np.array([5.0]), validate=False)
+    assert info["residual"] == pytest.approx(4.1) and info["residual"] > info["allowed_residual"]
 
 
 def test_refine_inverse_newton():
@@ -106,22 +101,21 @@ def test_refine_inverse_newton():
 
 def test_taylor_remainder_zero_for_linear():
     prob = scale_problem(a=2.0, d=2, beta=0.2, x=[1.0, -0.5])
-    set_inverse(prob, refine_inverse(prob, np.zeros(2)))
+    zhat = refine_inverse(prob, np.zeros(2))
     for _ in range(5):
-        z = prob.zhat + 0.1 * rng.normal(size=2)
-        measured, bound = taylor_remainder_check(prob, z)
+        z = zhat + 0.1 * rng.normal(size=2)
+        measured, bound = taylor_remainder_check(prob, zhat, z)
         assert measured <= 1e-10
         assert bound == 0.0  # M2 = M3 = 0 for linear G
 
 
 def test_taylor_remainder_below_bound_tanh():
     prob = tanh_problem(d=2, beta=0.1, x=[0.6, -0.3])
-    set_inverse(prob, refine_inverse(prob, np.zeros(2)))
-    reg = region(prob)
+    reg = region(prob, refine_inverse(prob, np.zeros(2)))
     for _ in range(20):
         u = rng.normal(size=2)
         z = reg.center + reg.radius * rng.uniform() * u / np.linalg.norm(u)
-        measured, bound = taylor_remainder_check(prob, z)
+        measured, bound = taylor_remainder_check(prob, reg.center, z)
         assert measured <= bound * (1 + 1e-9)
 
 
@@ -134,8 +128,7 @@ def test_strong_convexity_identity():
 
 def test_diagnostics_report_keys_and_convexity():
     prob = tanh_problem(d=2, x=[0.5, 0.2])
-    set_inverse(prob, refine_inverse(prob, np.zeros(2)))
-    rep = diagnostics_report(prob, points=50, seed=3)
+    rep = diagnostics_report(prob, refine_inverse(prob, np.zeros(2)), points=50, seed=3)
     assert rep["admissible"]
     assert rep["hessian_min_eigenvalue"] >= 1.0 - 1e-8
     assert rep["taylor_worst_ratio"] <= 1.0

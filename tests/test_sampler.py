@@ -1,13 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import identity_problem, tanh_problem
 from latgauss import rng
 from latgauss.errors import DegeneratePlan, InitializationError, NumericalBlowup, PlanTooLarge
-from latgauss.potential import RegionD, grad_potential_batch, refine_inverse, region, set_inverse
+from latgauss.models import LatentGaussian
+from latgauss.nets import MapConstants, random_residual_tanh_net
+from latgauss.potential import PosteriorProblem, RegionD, grad_potential_batch, refine_inverse, region
 from latgauss.rng import NoiseStream, ZeroStream
 from latgauss.sampler import (
     PipelineStages,
+    SamplerPlan,
     cir_concentration_bound,
     initialize_batch,
     make_sampler_plan,
@@ -29,8 +34,7 @@ def synthetic_region(center, radius):
 
 
 def prepared(problem):
-    set_inverse(problem, refine_inverse(problem, np.zeros(problem.dim)))
-    return region(problem)
+    return region(problem, refine_inverse(problem, np.zeros(problem.dim)))
 
 
 def test_plan_worked_example():
@@ -79,11 +83,11 @@ def test_initialize_ball_and_precondition():
     reg = prepared(prob)
     stages = PipelineStages(5, 10)
     idx = np.arange(500, dtype=np.uint64)
-    Z0 = initialize_batch(prob, reg, prob.zhat, NoiseStream(3), stages, idx)
-    r = np.linalg.norm(Z0 - prob.zhat, axis=1)
+    Z0 = initialize_batch(prob, reg, reg.center, NoiseStream(3), stages, idx)
+    r = np.linalg.norm(Z0 - reg.center, axis=1)
     assert np.all(r <= reg.radius / 4.0 + 1e-12)
     with pytest.raises(InitializationError):
-        initialize_batch(prob, reg, prob.zhat + 10.0, NoiseStream(3), stages, idx)
+        initialize_batch(prob, reg, reg.center + 10.0, NoiseStream(3), stages, idx)
 
 
 def test_langevin_step_formula():
@@ -91,8 +95,7 @@ def test_langevin_step_formula():
     # grad L(z) = z + (z - x) = 2z at beta=1
     reg = synthetic_region([0.0], 10.0)
     h = 0.01
-    plan = make_sampler_plan(prob, reg, h_override=h)
-    one_step = truncated(plan, 1)
+    one_step = SamplerPlan(horizon=h, h=h, steps=1, init_radius=2.5, projected=False)
     stages = PipelineStages(3, 1)
     Z = np.array([[1.0], [-0.4], [0.25]])
     idx = np.array([0, 5, 9], dtype=np.uint64)
@@ -110,15 +113,13 @@ def test_project_ball():
     assert np.array_equal(P[1], Z[1])
 
 
-def truncated(plan, steps):
-    from latgauss.sampler import SamplerPlan
-
+def truncated(plan, steps, projected=False):
     return SamplerPlan(
         horizon=plan.h * steps,
         h=plan.h,
         steps=steps,
         init_radius=plan.init_radius,
-        projected=plan.projected,
+        projected=projected,
     )
 
 
@@ -130,7 +131,7 @@ def test_chains_match_conjugate_posterior_moments():
     plan = truncated(make_sampler_plan(prob, reg), 2000)
     stages = PipelineStages(1, plan.steps)
     idx = np.arange(4000, dtype=np.uint64)
-    Z0 = initialize_batch(prob, reg, prob.zhat, NoiseStream(7), stages, idx)
+    Z0 = initialize_batch(prob, reg, reg.center, NoiseStream(7), stages, idx)
     finals, exited, _ = run_chains(prob, reg, plan, Z0, NoiseStream(7), stages, chains=idx)
     mean = 0.8 / 1.25
     var = 0.25 / 1.25
@@ -142,10 +143,10 @@ def test_chains_match_conjugate_posterior_moments():
 def test_projected_chains_stay_inside():
     prob = tanh_problem(d=2, x=[0.6, -0.2])
     reg = prepared(prob)
-    plan = truncated(make_sampler_plan(prob, reg, projected=True), 3000)
+    plan = truncated(make_sampler_plan(prob, reg), 3000, projected=True)
     stages = PipelineStages(1, plan.steps)
     idx = np.arange(64, dtype=np.uint64)
-    Z0 = initialize_batch(prob, reg, prob.zhat, NoiseStream(11), stages, idx)
+    Z0 = initialize_batch(prob, reg, reg.center, NoiseStream(11), stages, idx)
     finals, exited, snaps = run_chains(
         prob, reg, plan, Z0, NoiseStream(11), stages, chains=idx, snapshot_steps=[plan.steps // 2]
     )
@@ -159,9 +160,9 @@ def test_noise_off_descends_to_mode():
     # zero diffusion turns the chain into gradient descent on L
     prob = identity_problem(d=1, beta=0.5, x=[0.8])
     reg = prepared(prob)
-    plan = make_sampler_plan(prob, reg, h_override=0.05)
+    plan = SamplerPlan(horizon=10.0, h=0.05, steps=200, init_radius=reg.radius / 4, projected=False)
     stages = PipelineStages(1, plan.steps)
-    Z0 = prob.zhat[None, :] + 0.2 * reg.radius
+    Z0 = reg.center[None, :] + 0.2 * reg.radius
     finals, _, _ = run_chains(
         prob, reg, plan, Z0, ZeroStream(), stages, chains=np.array([0], dtype=np.uint64)
     )
@@ -215,10 +216,10 @@ def test_chains_do_not_depend_on_noise_block_size(monkeypatch, projected):
     prob = tanh_problem(d=2, x=[0.6, -0.2])
     planned = prepared(prob)
     reg = synthetic_region(planned.center, 0.1)
-    plan = truncated(make_sampler_plan(prob, planned, projected=projected), 60)
+    plan = truncated(make_sampler_plan(prob, planned), 60, projected)
     stages = PipelineStages(2, plan.steps)
     idx = np.arange(10, dtype=np.uint64) * 3 + 1
-    Z0 = initialize_batch(prob, reg, prob.zhat, NoiseStream(5), stages, idx)
+    Z0 = initialize_batch(prob, reg, reg.center, NoiseStream(5), stages, idx)
     want = [0, 1, 6, 7, 30, 60]
     runs = []
     # one stage per block, ragged blocks of 7 stages, one block for the plan
@@ -241,7 +242,7 @@ def test_blowup_mid_block_reports_its_step_and_state(monkeypatch):
     # until the gradient overflows, which lands inside a 7-stage block
     prob = identity_problem(d=1, beta=0.5, x=[0.8])
     reg = synthetic_region([0.64], 1.0)
-    plan = truncated(make_sampler_plan(prob, reg, h_override=100.0), 300)
+    plan = SamplerPlan(horizon=30000.0, h=100.0, steps=300, init_radius=0.25, projected=False)
     stages = PipelineStages(1, plan.steps)
     idx = np.arange(4, dtype=np.uint64)
     Z0 = np.array([[0.5], [0.7], [0.6], [0.9]])
@@ -254,3 +255,44 @@ def test_blowup_mid_block_reports_its_step_and_state(monkeypatch):
     step = payloads[0]["step"]
     assert 0 < step < plan.steps and step % 7 != 0
     assert payloads[1] == payloads[2] == payloads[0]
+
+
+SPLIT_CHAINS = 9
+SPLIT_SNAPSHOTS = [0, 1, 17, 40]
+
+
+def split_setup():
+    # dense weights, where one-row and many-row products can round apart;
+    # a radius of 0.1 against a diffusion of about 0.28 makes chains exit
+    net = random_residual_tanh_net(2, seed=2, alpha=0.3)
+    prob = PosteriorProblem(LatentGaussian(net, 0.1), np.array([0.5, 0.5]), MapConstants(0.7, 1.3, 0.3, 0.6))
+    reg = synthetic_region(refine_inverse(prob, np.zeros(2)), 0.1)
+    return prob, reg, PipelineStages(3, 40)
+
+
+def chain_outputs(prob, reg, projected, stages, idx):
+    plan = SamplerPlan(horizon=0.04, h=1e-3, steps=40, init_radius=0.025, projected=projected)
+    Z0 = initialize_batch(prob, reg, reg.center, NoiseStream(8), stages, idx)
+    finals, exited, snaps = run_chains(prob, reg, plan, Z0, NoiseStream(8), stages, idx, SPLIT_SNAPSHOTS)
+    return [Z0, finals, exited] + [snaps[s] for s in SPLIT_SNAPSHOTS]
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    labels=st.lists(st.integers(0, SPLIT_CHAINS - 1), min_size=SPLIT_CHAINS, max_size=SPLIT_CHAINS),
+    projected=st.booleans(),
+)
+@example(labels=list(range(SPLIT_CHAINS)), projected=False)
+@example(labels=list(range(SPLIT_CHAINS)), projected=True)
+def test_chains_do_not_depend_on_how_they_are_split(labels, projected):
+    # starts, finals, exits and snapshots of every part of a partition of the
+    # chain indices, lone chains included, equal the whole batch's rows
+    prob, reg, stages = split_setup()
+    idx = np.arange(SPLIT_CHAINS, dtype=np.uint64)
+    whole = chain_outputs(prob, reg, projected, stages, idx)
+    assert whole[2].any() != projected
+    labels = np.array(labels)
+    for label in np.unique(labels):
+        part = idx[labels == label]
+        for got, want in zip(chain_outputs(prob, reg, projected, stages, part), whole):
+            assert np.array_equal(got, want[part])
