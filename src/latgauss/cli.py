@@ -248,7 +248,7 @@ def cmd_compile(cfg: RunConfig) -> int:
     report = _report_header(cfg, "compile")
     report.update(
         {
-            "manifest": manifest(encoder),
+            "manifest": manifest(encoder, problem.model.generator),
             "encoder_json": encoder_path,
             "self_test": {
                 "draws": draws,

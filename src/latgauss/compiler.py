@@ -5,14 +5,20 @@ steps) is an alternation of deterministic maps and isotropic Gaussian noise,
 so it is extensionally a deep latent Gaussian model. This module builds that
 model mechanically out of network gadgets in the smooth activation set:
 
-* derivative_network: for one output coordinate of a smooth network, a network
-  computing its input gradient. Forward preactivations are carried alongside,
-  and the backward sweep realizes each sigma'(u) * delta product through the
-  square-activation multiplication identity a*b = ((a+b)^2 - (a-b)^2) / 4.
-* add_networks / mul_networks: pointwise sum and product of two networks.
+* _sweep: reverse-mode differentiation as a network. One forward tape of a
+  smooth network G keeps what sigma' needs (square preactivations, tanh
+  outputs squared one layer later), and one reverse sweep, seeded with a
+  cotangent, realizes each sigma'(u) * delta product through the
+  square-activation multiplication identity a*b = ((a+b)^2 - (a-b)^2) / 4
+  and folds W^T into the next gadget or the output. Its size is a small
+  multiple of G's, as the cheap-gradient principle promises.
 * step_network: the map (z, x) -> (c1 z + c2 J_G(z)^T (G(z) - x), x), the
   shared shape of descent steps (c1=1, c2=-eta) and Langevin drift steps
-  (c1=1-h, c2=-h/beta^2).
+  (c1=1-h, c2=-h/beta^2): the sweep seeded with the residual wire G(z) - x,
+  which the forward tape emits.
+* derivative_network / jacobian_network: the sweep seeded with a constant
+  row e_i gives grad_z G_i; the Jacobian network runs one per output.
+* add_networks / mul_networks: pointwise sum and product of two networks.
 
 Stage layout of a compiled encoder (positions are DLG stage indices and match
 sampler.PipelineStages, so direct chains and the encoder consume identical
@@ -106,9 +112,6 @@ class _Builder:
     def carry(self, name):
         w = self.frame.width_of(name)
         return (name, _ID_TAG, [(np.eye(w), name)], np.zeros(w))
-
-    def carry_all(self, except_names=()):
-        return [self.carry(n) for n in self.frame.names if n not in except_names]
 
     def emit(self, blocks):
         rows = 0
@@ -210,14 +213,6 @@ def parallel(parts, input_dim: int) -> Network:
     return Network(layers, input_dim)
 
 
-def compose(first: Network, second: Network) -> Network:
-    if first.output_dim != second.input_dim:
-        raise DimensionError(
-            f"cannot compose: {first.output_dim} outputs into {second.input_dim} inputs"
-        )
-    return Network(list(first.layers) + list(second.layers), first.input_dim)
-
-
 def add_networks(f: Network, g: Network, wf: float = 1.0, wg: float = 1.0) -> Network:
     """Network computing wf * f(z) + wg * g(z)."""
     if f.input_dim != g.input_dim or f.output_dim != g.output_dim:
@@ -248,148 +243,169 @@ def mul_networks(f: Network, g: Network) -> Network:
     return Network(list(both.layers) + [pm, fold], f.input_dim)
 
 
-# -- derivative networks -----------------------------------------------------------
+# -- reverse-mode sweep -------------------------------------------------------------
+#
+# A cotangent in the sweep is an affine expression over the current frame's
+# wire groups: ({group: matrix}, bias). The next multiplication gadget reads it
+# inside its own rows, so no cotangent, and no W^T of an identity layer, costs
+# a layer of its own.
+
+
+def _expr_map(mat, expr):
+    terms, bias = expr
+    return {src: mat @ m for src, m in terms.items()}, mat @ bias
+
+
+def _expr_rows(expr, rows):
+    terms, bias = expr
+    return {src: m[rows] for src, m in terms.items()}, bias[rows]
+
+
+def _expr_terms(expr, scale=1.0):
+    return [(scale * m, src) for src, m in expr[0].items()]
+
+
+def _scatter(positions, rows):
+    """(rows, len(positions)) matrix placing a short vector at the positions."""
+    return np.eye(rows)[:, positions]
+
+
+def _gadget_blocks(k, t, s, i, g):
+    """Multiplication gadget rows for layer k's sigma'(u) * g: (1 - tsq +- g)^2
+    at tanh neurons t, (2u +- g)^2 at square neurons s, g itself at identity
+    neurons i; g is an expression."""
+    blocks = []
+    if len(t):
+        gt = _expr_rows(g, t)
+        tsq = (-np.eye(len(t)), f"tsq{k}")
+        blocks.append(("pt", _SQ_TAG, [tsq] + _expr_terms(gt), 1.0 + gt[1]))
+        blocks.append(("mt", _SQ_TAG, [tsq] + _expr_terms(gt, -1.0), 1.0 - gt[1]))
+    if len(s):
+        gs = _expr_rows(g, s)
+        u = (2.0 * np.eye(len(s)), f"u{k}")
+        blocks.append(("ps", _SQ_TAG, [u] + _expr_terms(gs), gs[1]))
+        blocks.append(("ms", _SQ_TAG, [u] + _expr_terms(gs, -1.0), -gs[1]))
+    if len(i):
+        gi = _expr_rows(g, i)
+        blocks.append(("gid", _ID_TAG, _expr_terms(gi), gi[1]))
+    return blocks
+
+
+def _sweep(net, groups, rides, c1, c2, row=None, offset=None) -> Network:
+    """One forward tape and one reverse sweep: z -> (c1 z + c2 J(z)^T s, rides).
+
+    groups are the input wire groups and net reads the group "z"; rides are
+    input groups carried verbatim to the output after the gradient block.
+    The cotangent s is the constant output row `row`, or the residual wire
+    r = net(z) + offset for offset = ({group: matrix}, bias) over ride groups.
+
+    The forward tape computes each layer's activations "a", copies the
+    preactivations of its square neurons (u{k}), and squares its tanh
+    outputs one layer later (tsq{k}). With a residual seed, r replaces the
+    output of an all-identity last layer, else a layer after it computes r.
+    The reverse sweep then realizes each sigma'(u) * g product with the
+    square-activation identity a*b = ((a+b)^2 - (a-b)^2)/4 (_gadget_blocks)
+    and folds the quarter difference into W^T; the last fold writes the
+    output block.
+    """
+    tanh_code, sq_code = _CODE[_TANH_TAG], _CODE[_SQ_TAG]
+    L = net.depth
+    const = row is not None
+    passing = (["z"] if c1 else []) + list(rides)
+    tpos, spos = [], []
+    for k, lay in enumerate(net.layers):
+        t = np.flatnonzero(lay.codes == tanh_code)
+        s = np.flatnonzero(lay.codes == sq_code)
+        if k == L - 1 and const:  # neurons the constant seed does not reach drop out
+            t, s = t[row[t] != 0], s[row[s] != 0]
+        tpos.append(t)
+        spos.append(s)
+    b = _Builder(groups)
+
+    def carries(upto, made=()):
+        """Carries of the passing groups and the forward data of layers 0..upto."""
+        keep = set(passing) | {f"{p}{j}" for j in range(upto + 1) for p in ("tsq", "u")}
+        return [b.carry(nm) for nm in b.frame.names if nm in keep and nm not in made]
+
+    def emit(blocks, upto):
+        b.emit(blocks + carries(upto, {blk[0] for blk in blocks}))
+
+    def square_tanh(k, sel):
+        return (f"tsq{k}", _SQ_TAG, [(sel, "a")], np.zeros(len(sel)))
+
+    # forward tape
+    src = "z"
+    for k, lay in enumerate(net.layers):
+        t, s = tpos[k], spos[k]
+        blocks = []
+        if k < L - 1 or (not const and (len(t) or len(s))):
+            blocks.append(("a", _layer_tags(lay), [(lay.weight, src)], lay.bias))
+        elif not const:  # residual seed, all-identity last layer: r is its output
+            terms = [(lay.weight, src)] + _expr_terms(offset)
+            blocks.append(("r", _ID_TAG, terms, lay.bias + offset[1]))
+        elif len(t):  # constant seed: only the tanh outputs it reaches
+            blocks.append(("a", _TANH_TAG, [(lay.weight[t], src)], lay.bias[t]))
+        if len(s):
+            blocks.append((f"u{k}", _ID_TAG, [(lay.weight[s], src)], lay.bias[s]))
+        if k and len(tpos[k - 1]):
+            blocks.append(square_tanh(k - 1, np.eye(net.layers[k - 1].rows)[tpos[k - 1]]))
+        if blocks:
+            emit(blocks, k - 1)
+        src = "a"
+    n, t = net.output_dim, tpos[-1]
+    if const:
+        if len(t):
+            emit([square_tanh(L - 1, np.eye(len(t)))], L - 1)
+        g = ({}, np.asarray(row, dtype=np.float64))
+    else:
+        if len(t) or len(spos[-1]):
+            blocks = [("r", _ID_TAG, [(np.eye(n), "a")] + _expr_terms(offset), offset[1])]
+            if len(t):
+                blocks.append(square_tanh(L - 1, np.eye(n)[t]))
+            emit(blocks, L - 1)
+        g = ({"r": np.eye(n)}, np.zeros(n))
+
+    # reverse sweep: g is the cotangent at layer k's output
+    for k in range(L - 1, -1, -1):
+        lay = net.layers[k]
+        t, s, n = tpos[k], spos[k], lay.rows
+        i = np.setdiff1d(np.arange(n), np.concatenate([t, s]))
+        if not (len(t) or len(s)):
+            delta = g
+        elif not g[0]:  # constant cotangent: sigma'(u) * c is affine in tsq and u
+            c = g[1]
+            bias = c.copy()
+            bias[s] = 0.0
+            terms = {}
+            if len(t):
+                terms[f"tsq{k}"] = -_scatter(t, n) * c[t]
+            if len(s):
+                terms[f"u{k}"] = 2.0 * _scatter(s, n) * c[s]
+            delta = (terms, bias)
+        else:
+            emit(_gadget_blocks(k, t, s, i, g), k - 1)
+            quarter = (("pt", t, 0.25), ("mt", t, -0.25), ("ps", s, 0.25), ("ms", s, -0.25),
+                       ("gid", i, 1.0))
+            terms = {nm: w * _scatter(pos, n) for nm, pos, w in quarter if nm in b.frame.names}
+            delta = (terms, np.zeros(n))
+        g = _expr_map(lay.weight.T, delta)
+
+    terms = _expr_terms(g, c2)
+    if c1:
+        terms.append((c1 * np.eye(net.input_dim), "z"))
+    b.emit([("z", _ID_TAG, terms, c2 * g[1])] + [b.carry(nm) for nm in rides])
+    return b.network()
 
 
 def derivative_network(net: Network, output_index: int) -> Network:
-    """Network computing grad_z G_i(z) for one output coordinate i.
-
-    Structure: a forward phase mirrors G's layers while duplicating, per
-    layer, the tanh activations and the square preactivations (the data
-    sigma' needs); a backward phase then folds sigma' factors into the
-    running gradient with multiplication gadgets and applies each W^T.
-    """
+    """Network computing grad_z G_i(z) for one output coordinate i: the
+    reverse sweep seeded with the constant row e_i."""
     _smooth_or_raise(net, "derivative_network")
     if not 0 <= output_index < net.output_dim:
         raise DimensionError(f"output_index {output_index} out of range")
-    tanh_code, sq_code = _CODE[_TANH_TAG], _CODE[_SQ_TAG]
-    d = net.input_dim
-    ell = net.depth
-
-    b = _Builder([("a", d)])
-    bundles = []  # per layer: (tanh positions, square positions)
-    for k, lay in enumerate(net.layers):
-        codes = lay.codes
-        tpos = np.where(codes == tanh_code)[0]
-        spos = np.where(codes == sq_code)[0]
-        bundles.append((tpos, spos))
-        blocks = [("a", _layer_tags(lay), [(lay.weight, "a")], lay.bias)]
-        if len(tpos):
-            blocks.append((f"t{k}", _TANH_TAG, [(lay.weight[tpos], "a")], lay.bias[tpos]))
-        if len(spos):
-            blocks.append((f"u{k}", _ID_TAG, [(lay.weight[spos], "a")], lay.bias[spos]))
-        blocks += b.carry_all(except_names=("a",))
-        b.emit(blocks)
-
-    # backward through the output layer: only coordinate `output_index` matters,
-    # and sigma' there is a single wire, so the W^T application is linear.
-    last = net.layers[-1]
-    tpos, spos = bundles[-1]
-    row = last.weight[output_index]
-    live = [f"t{k}" for k in range(ell - 1) if len(bundles[k][0])] + [
-        f"u{k}" for k in range(ell - 1) if len(bundles[k][1])
-    ]
-    code = last.codes[output_index]
-    if code == tanh_code:
-        idx = int(np.where(tpos == output_index)[0][0])
-        sel = np.zeros((1, len(tpos)))
-        sel[0, idx] = 1.0
-        blocks = [("tsq", _SQ_TAG, [(sel, f"t{ell-1}")], np.zeros(1))]
-        blocks += [b.carry(n) for n in live]
-        b.emit(blocks)
-        # g = (1 - t^2) * row: affine in the tsq wire
-        blocks = [("g", _ID_TAG, [(-row[:, None], "tsq")], row.copy())]
-        blocks += [b.carry(n) for n in live]
-        b.emit(blocks)
-    elif code == sq_code:
-        idx = int(np.where(spos == output_index)[0][0])
-        sel = np.zeros((len(row), len(spos)))
-        sel[:, idx] = 2.0 * row
-        blocks = [("g", _ID_TAG, [(sel, f"u{ell-1}")], np.zeros(len(row)))]
-        blocks += [b.carry(n) for n in live]
-        b.emit(blocks)
-    else:  # identity: the gradient seed is the constant row
-        blocks = [("g", _ID_TAG, [], row.copy())]
-        blocks += [b.carry(n) for n in live]
-        b.emit(blocks)
-
-    # inner layers, last to first
-    for k in range(ell - 2, -1, -1):
-        lay = net.layers[k]
-        tpos, spos = bundles[k]
-        ipos = np.array(
-            [p for p in range(lay.rows) if p not in set(tpos) | set(spos)], dtype=int
-        )
-        live = [f"t{j}" for j in range(k) if len(bundles[j][0])] + [
-            f"u{j}" for j in range(k) if len(bundles[j][1])
-        ]
-        wt = lay.weight.T  # (in, rows)
-
-        if len(tpos) == 0 and len(spos) == 0:
-            # sigma' = 1 everywhere: g <- W^T g
-            blocks = [("g", _ID_TAG, [(wt[:, ipos], "g")] if len(ipos) else [], np.zeros(lay.in_dim))]
-            blocks += [b.carry(n) for n in live]
-            b.emit(blocks)
-            continue
-
-        if len(tpos):
-            # square the saved tanh values first (g and the rest ride along)
-            blocks = [("tsq", _SQ_TAG, [(np.eye(len(tpos)), f"t{k}")], np.zeros(len(tpos)))]
-            if len(spos):
-                blocks.append(b.carry(f"u{k}"))
-            blocks.append(b.carry("g"))
-            blocks += [b.carry(n) for n in live]
-            b.emit(blocks)
-
-        # multiplication gadget rows: for tanh positions (1 - t^2 +- g_p)^2,
-        # for square positions (2u +- g_p)^2; identity positions pass through.
-        def sel_rows(positions):
-            m = np.zeros((len(positions), b.frame.width_of("g")))
-            for r_, p_ in enumerate(positions):
-                m[r_, p_] = 1.0
-            return m
-
-        blocks = []
-        if len(tpos):
-            st = sel_rows(tpos)
-            nt = len(tpos)
-            blocks.append(
-                ("pt", _SQ_TAG, [(-np.eye(nt), "tsq"), (st, "g")], np.ones(nt))
-            )
-            blocks.append(
-                ("mt", _SQ_TAG, [(-np.eye(nt), "tsq"), (-st, "g")], np.ones(nt))
-            )
-        if len(spos):
-            ss = sel_rows(spos)
-            ns = len(spos)
-            blocks.append(
-                ("ps", _SQ_TAG, [(2.0 * np.eye(ns), f"u{k}"), (ss, "g")], np.zeros(ns))
-            )
-            blocks.append(
-                ("ms", _SQ_TAG, [(2.0 * np.eye(ns), f"u{k}"), (-ss, "g")], np.zeros(ns))
-            )
-        if len(ipos):
-            blocks.append(("gid", _ID_TAG, [(sel_rows(ipos), "g")], np.zeros(len(ipos))))
-        blocks += [b.carry(n) for n in live]
-        b.emit(blocks)
-
-        # fold the quarter-difference and W^T in one linear layer
-        terms = []
-        if len(tpos):
-            terms.append((0.25 * wt[:, tpos], "pt"))
-            terms.append((-0.25 * wt[:, tpos], "mt"))
-        if len(spos):
-            terms.append((0.25 * wt[:, spos], "ps"))
-            terms.append((-0.25 * wt[:, spos], "ms"))
-        if len(ipos):
-            terms.append((wt[:, ipos], "gid"))
-        blocks = [("g", _ID_TAG, terms, np.zeros(lay.in_dim))]
-        blocks += [b.carry(n) for n in live]
-        b.emit(blocks)
-
-    out = b.network()
-    assert out.output_dim == d
-    return out
+    row = np.zeros(net.output_dim)
+    row[output_index] = 1.0
+    return _sweep(net, [("z", net.input_dim)], (), 0.0, 1.0, row=row)
 
 
 def jacobian_network(net: Network) -> Network:
@@ -416,74 +432,26 @@ def step_network(
     consumers divide by s. With x_const, x is folded into biases: input and
     output are just z. extra_carry appends input channels carried verbatim
     (used for the ball-noise channel during descent stages).
+
+    One forward tape of G emits the residual r = G(z) - x as a wire, and one
+    reverse sweep seeded with r forms J^T r and writes c1 z + c2 J^T r into
+    the z block (_sweep). The step costs a small multiple of G's own size:
+    24d parameters at depth 4 for z + alpha tanh(z), whose G has 4d.
     """
     _smooth_or_raise(generator, "step_network")
     if generator.input_dim != generator.output_dim:
         raise DimensionError("step networks need a square generator")
     d = generator.input_dim
-    amortized = x_const is None
-
-    jnet = jacobian_network(generator)
-    parts = [(jnet, 0), (generator, 0), (identity_chain(d, 1), 0)]
-    width = d
-    if amortized:
-        parts.append((identity_chain(d, 1), width))
-        width += d
-    if extra_carry:
-        parts.append((identity_chain(extra_carry, 1), width))
-        width += extra_carry
-    stage_a = parallel(parts, width)
-    # frame after stage_a: Jflat (d^2) | G (d) | z (d) | [sx (d)] | [carry]
-    frame = [("J", d * d), ("G", d), ("z", d)]
-    if amortized:
-        frame.append(("sx", d))
-    if extra_carry:
-        frame.append(("carry", extra_carry))
-    b = _Builder(frame)
-
-    rep = np.zeros((d * d, d))  # residual r_i repeated across j: index i*d+j
-    for i in range(d):
-        rep[i * d : (i + 1) * d, i] = 1.0
-    terms_r = [(rep, "G")]
-    bias_r = np.zeros(d * d)
-    if amortized:
-        terms_r.append((-rep / x_scale, "sx"))
+    groups = [("z", d)]
+    if x_const is None:
+        groups.append(("sx", d))
+        offset = ({"sx": -np.eye(d) / x_scale}, np.zeros(d))
     else:
-        bias_r = -rep @ np.asarray(x_const, dtype=np.float64)
-
-    eye2 = np.eye(d * d)
-    blocks = [
-        ("p", _SQ_TAG, [(eye2, "J")] + terms_r, bias_r),
-        ("q", _SQ_TAG, [(eye2, "J")] + [(-m, s) for m, s in terms_r], -bias_r),
-        b.carry("z"),
-    ]
-    if amortized:
-        blocks.append(b.carry("sx"))
+        offset = ({}, -np.asarray(x_const, dtype=np.float64))
     if extra_carry:
-        blocks.append(b.carry("carry"))
-    b.emit(blocks)
-
-    # z'_j = c1 z_j + c2 sum_i (p - q)_{i d + j} / 4
-    collect = np.zeros((d, d * d))
-    for i in range(d):
-        for j in range(d):
-            collect[j, i * d + j] = 1.0
-    blocks = [
-        (
-            "z",
-            _ID_TAG,
-            [(0.25 * c2 * collect, "p"), (-0.25 * c2 * collect, "q"), (c1 * np.eye(d), "z")],
-            np.zeros(d),
-        )
-    ]
-    if amortized:
-        blocks.append(b.carry("sx"))
-    if extra_carry:
-        blocks.append(b.carry("carry"))
-    b.emit(blocks)
-
-    tail = b.network()
-    return compose(stage_a, tail)
+        groups.append(("carry", extra_carry))
+    rides = [name for name, _ in groups[1:]]
+    return _sweep(generator, groups, rides, c1, c2, offset=offset)
 
 
 # -- encoder assembly -----------------------------------------------------------------
@@ -696,8 +664,11 @@ def load_encoder(path) -> CompiledEncoder:
     )
 
 
-def manifest(encoder: CompiledEncoder) -> dict:
+def manifest(encoder: CompiledEncoder, generator: Network) -> dict:
+    """Encoder summary; the *_params fields set the per-stage size against the
+    generator's (None for a stage kind the encoder has no stage of)."""
     dlg = encoder.dlg
+    S, K = encoder.gd_stage_count, encoder.langevin_stage_count
     return {
         "dim": encoder.dim,
         "gd_stage_count": encoder.gd_stage_count,
@@ -709,6 +680,9 @@ def manifest(encoder: CompiledEncoder) -> dict:
         "carry_scale": encoder.carry_scale,
         "init_radius": encoder.init_radius,
         "parameter_count": dlg.size(),
+        "generator_params": generator.size(),
+        "gd_stage_params": dlg.stages[1][0].size() if S else None,
+        "langevin_stage_params": dlg.stages[S + 2][0].size() if K else None,
         "max_stage_depth": max(net.depth for net, _ in dlg.stages),
         "input_dim": dlg.input_dim,
         "output_dim": dlg.output_dim,

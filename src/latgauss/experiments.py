@@ -228,7 +228,7 @@ def compiled_vs_direct_experiment(
 
     encoder = compile_encoder(problem, planned.gd_plan, planned.plan, amortized=amortized)
     deviation, _ = equivalence_deviation(problem, planned, encoder, stream, draws=draws)
-    report = manifest(encoder)
+    report = manifest(encoder, problem.model.generator)
     report.update(
         {
             "draws": int(draws),

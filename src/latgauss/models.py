@@ -49,23 +49,6 @@ class LatentGaussian:
         return self.generator.input_dim
 
 
-def sample_x(model: LatentGaussian, stream, index: int = 0):
-    """One (z, x) pair; sample `index` uses draws (2*index, 2*index + 1) at stage 0."""
-    d = model.dim
-    z = stream.normal(0, 2 * index, d)
-    xi = stream.normal(0, 2 * index + 1, d)
-    return z, model.generator.eval(z) + model.beta * xi
-
-
-def sample_x_batch(model: LatentGaussian, stream, count: int):
-    """(Z, X) arrays of shape (count, d); row i equals sample_x(model, stream, i)."""
-    d = model.dim
-    draws = np.arange(count, dtype=np.uint64)
-    Z = stream.normal_matrix(0, 2 * draws, d)
-    Xi = stream.normal_matrix(0, 2 * draws + 1, d)
-    return Z, model.generator.eval_batch(Z) + model.beta * Xi
-
-
 @dataclass
 class DeepLatentGaussian:
     """Stages of (network, variance). Consecutive stage dimensions must chain."""

@@ -276,7 +276,6 @@ def diagnostics_report(
     min_eig = np.inf
     max_eig = -np.inf
     worst_ratio = 0.0
-    worst_margin = np.inf
     for z in zs:
         eigs = np.linalg.eigvalsh(hess_potential(problem, z))
         min_eig = min(min_eig, float(eigs[0]))
@@ -284,7 +283,6 @@ def diagnostics_report(
         measured, bound = taylor_remainder_check(problem, reg.center, z)
         if bound > 0:
             worst_ratio = max(worst_ratio, measured / bound)
-            worst_margin = min(worst_margin, bound - measured)
     return {
         "dim": problem.dim,
         "beta": problem.beta,

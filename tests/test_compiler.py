@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import tanh_problem
 from latgauss import nets
 from latgauss.compiler import (
+    DEFAULT_CARRY_SCALE,
     add_networks,
     compile_encoder,
-    compose,
     derivative_network,
     equivalence_deviation,
     identity_chain,
@@ -55,14 +57,6 @@ def test_parallel_disjoint_slices():
     Z = rng.normal(size=(5, 4))
     want = np.concatenate([f.eval_batch(Z[:, :2]), g.eval_batch(Z[:, 2:])], axis=1)
     assert np.allclose(pa.eval_batch(Z), want, atol=1e-12)
-
-
-def test_compose_matches_function_composition():
-    f = nets.tanh_residual_net(2, 0.5)
-    g = nets.random_smooth_net(2, seed=4)
-    c = compose(f, g)  # g after f
-    Z = rng.normal(size=(6, 2))
-    assert np.allclose(c.eval_batch(Z), g.eval_batch(f.eval_batch(Z)), atol=1e-12)
 
 
 def test_add_networks():
@@ -159,6 +153,71 @@ def test_step_network_exact():
     assert np.array_equal(out2[:, 3:], carry)
 
 
+SMOOTH_TAGS = ("identity", "tanh", "square")
+
+
+@st.composite
+def smooth_generators(draw):
+    """Square smooth nets of depth 1-3 with random widths and per-neuron
+    identity/tanh/square tags, the output layer's included."""
+    d = draw(st.integers(1, 3))
+    widths = draw(st.lists(st.integers(1, 5), min_size=0, max_size=2)) + [d]
+    weights = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    layers = []
+    for rows, cols in zip(widths, [d] + widths[:-1]):
+        tags = draw(st.lists(st.sampled_from(SMOOTH_TAGS), min_size=rows, max_size=rows))
+        layers.append(Layer(weights.normal(size=(rows, cols)) / np.sqrt(cols), 0.3 * weights.normal(size=rows), tags))
+    return Network(layers, d)
+
+
+def relative_gap(got, want):
+    return float(np.max(np.abs(got - want) / (1.0 + np.abs(want))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(gen=smooth_generators(), seed=st.integers(0, 2**32 - 1))
+def test_sweeps_match_reverse_mode(gen, seed):
+    # the compiled step is c1 z + c2 J^T (G(z) - x), amortized and with x
+    # baked in, and every derivative network row is a Jacobian row
+    d = gen.input_dim
+    draws = np.random.default_rng(seed)
+    Z = draws.normal(size=(6, d))
+    x = draws.normal(size=d)
+    c1, c2 = 0.97, -0.05
+    _, pullback = gen.vjp_batch(Z, gen.eval_batch(Z) - x)
+    want = c1 * Z + c2 * pullback
+
+    scale = 1e3
+    sx = np.broadcast_to(scale * x, Z.shape)
+    out = step_network(gen, c1, c2, x_scale=scale).eval_batch(np.hstack([Z, sx]))
+    assert relative_gap(out[:, :d], want) <= 1e-9
+    assert np.array_equal(out[:, d:], sx)
+
+    carry = draws.normal(size=(6, 2))
+    out = step_network(gen, c1, c2, x_const=x, extra_carry=2).eval_batch(np.hstack([Z, carry]))
+    assert relative_gap(out[:, :d], want) <= 1e-9
+    assert np.array_equal(out[:, d:], carry)
+
+    J = gen.jacobian_batch(Z)
+    for i in range(d):
+        assert relative_gap(derivative_network(gen, i).eval_batch(Z), J[:, i, :]) <= 1e-9
+
+
+@pytest.mark.parametrize("d", [1, 2, 4, 8])
+def test_langevin_stage_is_linear_in_generator_size(d):
+    # one forward tape and one reverse sweep: z + a tanh(z) (|G| = 4d) costs
+    # 24d parameters per stage at depth 4, and a dense residual generator at
+    # most 6 |G|
+    def stage(gen):
+        return step_network(gen, 1.0 - 1e-3, -0.1, x_scale=DEFAULT_CARRY_SCALE)
+
+    tanh_stage = stage(nets.tanh_residual_net(d, 0.5))
+    assert tanh_stage.size() == 24 * d
+    assert tanh_stage.depth == 4
+    dense = nets.random_residual_tanh_net(d, seed=7)
+    assert stage(dense).size() <= 6 * dense.size()
+
+
 def compiled_setup(d=2, gd_steps=40, langevin_steps=150):
     problem = tanh_problem(d=d, beta=0.1, x=[0.8, -0.4][:d])
     return problem, plan_truncated(problem, gd_steps, langevin_steps)
@@ -202,10 +261,13 @@ def test_encoder_samples_do_not_depend_on_noise_block_size(monkeypatch):
 def test_manifest_fields():
     problem, planned = compiled_setup(gd_steps=5, langevin_steps=10)
     enc = compile_encoder(problem, planned.gd_plan, planned.plan)
-    m = manifest(enc)
+    m = manifest(enc, problem.model.generator)
     assert m["gd_stage_count"] == 5
     assert m["langevin_stage_count"] == 10
     assert m["total_stages"] == 5 + 10 + 3
     assert m["input_dim"] == 3 * problem.dim  # (z0, x, noise channel)
     assert m["output_dim"] == problem.dim
     assert m["parameter_count"] > 0
+    assert m["generator_params"] == problem.model.generator.size() == 4 * problem.dim
+    assert m["gd_stage_params"] == enc.dlg.stages[1][0].size()
+    assert m["langevin_stage_params"] == enc.dlg.stages[5 + 2][0].size() == 24 * problem.dim

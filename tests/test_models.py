@@ -7,8 +7,6 @@ from latgauss.models import (
     LatentGaussian,
     sample_dlg,
     sample_dlg_batch,
-    sample_x,
-    sample_x_batch,
     write_samples_csv,
 )
 from latgauss.nets import identity_net, linear_net, scale_net, tanh_residual_net
@@ -20,25 +18,6 @@ def test_latent_gaussian_validation():
         LatentGaussian(identity_net(2), beta=0.0)
     with pytest.raises(DimensionError):
         LatentGaussian(linear_net(np.ones((2, 3)), np.zeros(2)), beta=0.1)
-
-
-def test_sample_x_identity_moments():
-    # x = z + beta xi with z, xi standard normal: Var(x) = 1 + beta^2
-    model = LatentGaussian(identity_net(1), beta=0.5)
-    _, X = sample_x_batch(model, NoiseStream(0), 40_000)
-    var = X.var()
-    want = 1.0 + 0.25
-    assert abs(X.mean()) <= 4 * np.sqrt(want / X.size)
-    assert abs(var - want) <= 5 * want * np.sqrt(2.0 / X.size)
-
-
-def test_sample_x_batch_matches_scalar():
-    model = LatentGaussian(tanh_residual_net(2, 0.5), beta=0.1)
-    s = NoiseStream(4)
-    Z, X = sample_x_batch(model, s, 5)
-    for i in range(5):
-        z, x = sample_x(model, s, i)
-        assert np.array_equal(Z[i], z) and np.array_equal(X[i], x)
 
 
 def test_dlg_stage_chaining_and_eval():
