@@ -18,7 +18,7 @@ model mechanically out of network gadgets in the smooth activation set:
   which the forward tape emits.
 * derivative_network / jacobian_network: the sweep seeded with a constant
   row e_i gives grad_z G_i; the Jacobian network runs one per output.
-* add_networks / mul_networks: pointwise sum and product of two networks.
+* mul_networks: pointwise product of two networks.
 
 Stage layout of a compiled encoder (positions are DLG stage indices and match
 sampler.PipelineStages, so direct chains and the encoder consume identical
@@ -211,16 +211,6 @@ def parallel(parts, input_dim: int) -> Network:
             r += lay.rows
         layers.append(Layer(W, b, tags))
     return Network(layers, input_dim)
-
-
-def add_networks(f: Network, g: Network, wf: float = 1.0, wg: float = 1.0) -> Network:
-    """Network computing wf * f(z) + wg * g(z)."""
-    if f.input_dim != g.input_dim or f.output_dim != g.output_dim:
-        raise DimensionError("add_networks needs matching input and output dims")
-    both = parallel([(f, 0), (g, 0)], f.input_dim)
-    q = f.output_dim
-    mix = Layer(np.hstack([wf * np.eye(q), wg * np.eye(q)]), np.zeros(q), _ID_TAG)
-    return Network(list(both.layers) + [mix], f.input_dim)
 
 
 def mul_networks(f: Network, g: Network) -> Network:

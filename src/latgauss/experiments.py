@@ -62,7 +62,6 @@ def posterior_tv_experiment(
     planned: PipelinePlan,
     stream,
     samples: int = 10_000,
-    points_per_axis: int = 2001,
 ) -> dict:
     """TV between planned chains' samples and the grid oracle at d = 1.
 
@@ -71,7 +70,7 @@ def posterior_tv_experiment(
     if problem.dim != 1:
         raise DimensionError("posterior TV experiment runs at dimension 1")
     result = run_planned_chains(problem, planned, stream, samples)
-    oracle = build_grid_oracle(problem, planned.region, points_per_axis)
+    oracle = build_grid_oracle(problem, planned.region)
     tv = tv_distance(result.finals, oracle)
     threshold = tv_threshold(problem.epsilon)
     return {
@@ -97,7 +96,6 @@ def mixing_trend_experiment(
     stream,
     chains: int = 4000,
     snapshot_steps: list | None = None,
-    points_per_axis: int = 2001,
 ) -> dict:
     """TV decay of the planned chains, projected, against the restricted
     posterior.
@@ -121,7 +119,7 @@ def mixing_trend_experiment(
         problem, planned._replace(plan=plan), stream, chains, snapshot_steps=snapshot_steps
     )
     reg = planned.region
-    oracle = build_grid_oracle(problem, reg, points_per_axis, restricted=True)
+    oracle = build_grid_oracle(problem, reg, restricted=True)
     steps = sorted(result.snapshots)
     times = [s * plan.h for s in steps]
     tvs = [float(tv_distance(result.snapshots[s], oracle)) for s in steps]

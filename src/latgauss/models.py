@@ -85,26 +85,16 @@ class DeepLatentGaussian:
         return sum(net.size() for net, _ in self.stages)
 
 
-def sample_dlg(model: DeepLatentGaussian, inp: np.ndarray, stream, draw: int = 0) -> np.ndarray:
-    """Run the stage chain on `inp`; stage s noise sits at counter (s, draw)."""
-    state = np.asarray(inp, dtype=np.float64)
-    if state.shape != (model.input_dim,):
-        raise DimensionError(f"expected input of shape ({model.input_dim},)")
-    for s, (net, var) in enumerate(model.stages):
-        state = net.eval(state)
-        if var > 0.0:
-            state = state + np.sqrt(var) * stream.normal(s, draw, len(state))
-    return state
-
-
 def sample_dlg_batch(
     model: DeepLatentGaussian, inputs: np.ndarray, stream, draws=None
 ) -> np.ndarray:
-    """Batched sample_dlg; row i uses draw index draws[i] (default i).
+    """Run the stage chain on each row of `inputs`; stage s noise for row i
+    sits at counter (s, draws[i]) (default draws[i] = i).
 
     Each run of consecutive stages with equal variance and width, such as
     the Langevin stages of a compiled encoder, draws its noise in blocks of
-    stages (rng.normal_rows), bit for bit the per-stage draws of sample_dlg.
+    stages (rng.normal_rows), bit for bit the per-stage draws
+    stream.normal(s, draw, width).
     """
     states = np.asarray(inputs, dtype=np.float64)
     if states.ndim != 2 or states.shape[1] != model.input_dim:

@@ -1,20 +1,23 @@
 """Ground-truth oracles and statistical distance checks.
 
 For latent dimension 1 or 2 the posterior density proportional to e^{-L(z)}
-can be tabulated on a grid and normalized by quadrature, giving an oracle to
-hold sampler output against. Linear generators additionally admit an exact
-Gaussian posterior. Distances are total variation over histogram bins; the
-binning keeps its own noise floor (about 0.03 at 10^4 samples with <= 50 bins
+is tabulated on the total variation bins themselves: a box around the
+region's center is cut into MAX_TV_BINS bins per axis, and a tensor
+Gauss-Legendre rule inside each bin gives the oracle's bin masses to near
+float accuracy for a smooth L. Linear generators additionally admit an exact
+Gaussian posterior. Distances are total variation over those bins; the
+binning keeps its own noise floor (about 0.03 at 10^4 samples with 50 bins
 per axis), and every acceptance threshold in the package carries that
 allowance explicitly.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp, ndtri
+from scipy.special import logsumexp
 
 from .errors import DimensionError, SupportError
 from .potential import PosteriorProblem, RegionD, potential_batch
@@ -24,86 +27,57 @@ MAX_TV_BINS = 50
 
 # -- grid oracle -----------------------------------------------------------------
 
+_NODES_PER_BIN = 8  # Gauss-Legendre nodes per TV bin and axis
+
 
 @dataclass
 class GridOracle:
-    """Tabulated posterior density, trapezoid-normalized to integrate to 1.
+    """Posterior density at tensor Gauss-Legendre nodes, _NODES_PER_BIN per
+    TV bin and axis, normalized so the weighted sum is 1.
 
-    dimension 1: axes is (grid,), density has shape (n,).
-    dimension 2: axes is (grid0, grid1), density has shape (n, n) indexed
-    [i, j] = (axes[0][i], axes[1][j]).
+    dimension 1: axes is (nodes,), weights (w,), density has shape (n,).
+    dimension 2: axes is (nodes0, nodes1), weights (w0, w1), density has
+    shape (n, n) indexed [i, j] = (axes[0][i], axes[1][j]).
     """
 
     dimension: int
     center: np.ndarray
     half_width: float
     axes: tuple
+    weights: tuple
     density: np.ndarray
     restricted: bool
 
-    @property
-    def spacing(self) -> float:
-        g = self.axes[0]
-        return float(g[1] - g[0])
+    def bin_edges(self, axis: int) -> np.ndarray:
+        return _bin_edges(self.center[axis], self.half_width)
+
+    def bin_mass(self) -> np.ndarray:
+        """Oracle probability per TV bin, shape (MAX_TV_BINS,) * dimension."""
+        mass = self.density * functools.reduce(np.multiply.outer, self.weights)
+        mass = mass.reshape((MAX_TV_BINS, _NODES_PER_BIN) * self.dimension)
+        return mass.sum(axis=tuple(range(1, 2 * self.dimension, 2)))
 
     def integral(self) -> float:
-        if self.dimension == 1:
-            return float(np.trapezoid(self.density, self.axes[0]))
-        # the inner rule runs per grid row, so blocks of rows give the same values
-        inner = np.empty(len(self.axes[0]))
-        for lo, hi in _row_blocks(len(self.axes[0]), len(self.axes[1])):
-            inner[lo:hi] = np.trapezoid(self.density[lo:hi], self.axes[1], axis=1)
-        return float(np.trapezoid(inner, self.axes[0]))
-
-    def log_density(self) -> np.ndarray:
-        with np.errstate(divide="ignore"):
-            return np.log(self.density)
+        return float(self.bin_mass().sum())
 
 
-_BLOCK_POINTS = 1 << 17  # about this many grid points per block of grid rows
+def _bin_edges(center: float, half_width: float) -> np.ndarray:
+    return np.linspace(center - half_width, center + half_width, MAX_TV_BINS + 1)
 
 
-def _row_blocks(n: int, row_points: int):
-    """(lo, hi) ranges over n grid rows (first-axis values) of row_points
-    points each, about _BLOCK_POINTS points per range, so full-grid work at
-    d=2 keeps its temporaries small.
-
-    Ranges start at multiples of 64 rows and the last one takes the
-    remainder, one to two ranges' worth, so no range is a lone point.
-    """
-    rows = 64 * max(1, _BLOCK_POINTS // (64 * row_points))
-    edges = [*range(0, max(n - rows, 0) + 1, rows), n]
-    return zip(edges[:-1], edges[1:])
-
-
-def _grid_log_density(problem: PosteriorProblem, axes: tuple) -> np.ndarray:
-    """-L on the grid spanned by axes, flat in C order, in blocks of grid rows
-    (_row_blocks).
-
-    As no block is a lone point, BLAS runs the same kernels on every row as
-    one call on the whole grid would, and the values equal that call's bit
-    for bit. (A d=1 grid of 2^18 or more points under multithreaded BLAS is
-    the exception: the threads split a matrix-vector product at other rows,
-    which can move a few values by an ulp.)
-    """
-    n = len(axes[0])
-    row_points = n ** (len(axes) - 1)
-    logp = np.empty(n * row_points)
-    for lo, hi in _row_blocks(n, row_points):
-        mesh = np.meshgrid(axes[0][lo:hi], *axes[1:], indexing="ij")
-        Z = np.stack([m.ravel() for m in mesh], axis=1)
-        logp[lo * row_points : hi * row_points] = -potential_batch(problem, Z)
-    return logp
+def _bin_nodes(edges: np.ndarray) -> tuple:
+    """(nodes, weights) of the Gauss-Legendre rule in every bin, bin by bin."""
+    x, w = np.polynomial.legendre.leggauss(_NODES_PER_BIN)
+    mid = (edges[1:] + edges[:-1]) / 2.0
+    half = (edges[1:] - edges[:-1]) / 2.0
+    return (mid[:, None] + half[:, None] * x).ravel(), (half[:, None] * w).ravel()
 
 
 def build_grid_oracle(
-    problem: PosteriorProblem,
-    region: RegionD,
-    points_per_axis: int = 2001,
-    restricted: bool = False,
+    problem: PosteriorProblem, region: RegionD, restricted: bool = False
 ) -> GridOracle:
-    """Tabulate e^{-L} around the region's center; half-width
-    max(6 beta / m, 2 radius).
+    """Tabulate e^{-L} around the region's center on the TV bins of the box
+    of half-width max(6 beta / m, 2 radius).
 
     Restricted mode zeroes the density outside the region ball and
     renormalizes, matching the reflected/projected chain's stationary target.
@@ -113,31 +87,20 @@ def build_grid_oracle(
     radius = region.radius
     center = np.asarray(region.center, dtype=np.float64)
     hw = max(6.0 * problem.beta / problem.constants.m, 2.0 * radius)
-    n = int(points_per_axis)
-    if n < 3:
-        raise ValueError("points_per_axis must be at least 3")
-
-    axes = tuple(center[k] + np.linspace(-hw, hw, n) for k in range(problem.dim))
-    logp = _grid_log_density(problem, axes)
+    axes, weights = zip(*(_bin_nodes(_bin_edges(c, hw)) for c in center))
+    mesh = np.meshgrid(*axes, indexing="ij")
+    logp = -potential_batch(problem, np.stack([m.ravel() for m in mesh], axis=1))
     logp -= logp.max()
-    dens = np.exp(logp, out=logp)
-    if problem.dim == 2:
-        dens = dens.reshape(n, n)
-
+    dens = np.exp(logp, out=logp).reshape(mesh[0].shape)
     if restricted:
-        if problem.dim == 1:
-            inside = np.abs(axes[0] - center[0]) <= radius
-            dens = np.where(inside, dens, 0.0)
-        else:
-            dz0 = axes[0][:, None] - center[0]
-            dz1 = axes[1][None, :] - center[1]
-            dens = np.where(dz0**2 + dz1**2 <= radius**2, dens, 0.0)
+        dens[sum((m - c) ** 2 for m, c in zip(mesh, center)) > radius**2] = 0.0
 
     oracle = GridOracle(
         dimension=problem.dim,
         center=center,
         half_width=hw,
         axes=axes,
+        weights=weights,
         density=dens,
         restricted=restricted,
     )
@@ -151,42 +114,12 @@ def build_grid_oracle(
 # -- binned total variation ---------------------------------------------------------
 
 
-def _bin_edges(oracle: GridOracle, axis: int, bins: int) -> np.ndarray:
-    lo = oracle.center[axis] - oracle.half_width
-    hi = oracle.center[axis] + oracle.half_width
-    return np.linspace(lo, hi, bins + 1)
+def tv_distance(samples: np.ndarray, oracle: GridOracle) -> float:
+    """Half L1 distance between binned samples and the oracle's bin masses.
 
-
-def _oracle_bin_mass(oracle: GridOracle, bins: int) -> np.ndarray:
-    """Oracle probability per histogram bin (trapezoid weights per grid node)."""
-    g = oracle.axes[0]
-    w = np.full(len(g), oracle.spacing)
-    w[0] = w[-1] = oracle.spacing / 2.0
-    if oracle.dimension == 1:
-        node_mass = oracle.density * w
-        idx = np.clip(np.searchsorted(_bin_edges(oracle, 0, bins), g, side="right") - 1, 0, bins - 1)
-        out = np.zeros(bins)
-        np.add.at(out, idx, node_mass)
-        return out
-    e0 = _bin_edges(oracle, 0, bins)
-    e1 = _bin_edges(oracle, 1, bins)
-    i0 = np.clip(np.searchsorted(e0, oracle.axes[0], side="right") - 1, 0, bins - 1)
-    i1 = np.clip(np.searchsorted(e1, oracle.axes[1], side="right") - 1, 0, bins - 1)
-    out = np.zeros((bins, bins))
-    # np.add.at accumulates in C order, so blocks of grid rows taken in order
-    # give every bin the same additions in the same sequence
-    for lo, hi in _row_blocks(len(g), len(oracle.axes[1])):
-        node_mass = oracle.density[lo:hi] * np.outer(w[lo:hi], w)
-        np.add.at(out, (i0[lo:hi, None], i1[None, :]), node_mass)
-    return out
-
-
-def tv_distance(samples: np.ndarray, oracle: GridOracle, bins: int | None = None) -> float:
-    """Half L1 distance between binned samples and binned oracle mass.
-
-    Sample mass falling outside the oracle grid forms an extra bucket whose
-    oracle mass is zero (the tails the grid drops carry < 1e-6 by
-    construction).
+    Sample mass falling outside the oracle box forms an extra bucket whose
+    oracle mass is zero. The box reaches at least six likelihood widths
+    (6 beta/m) from the region's center, so the tails it drops are small.
     """
     samples = np.atleast_2d(np.asarray(samples, dtype=np.float64))
     if samples.shape[0] == 0:
@@ -195,36 +128,11 @@ def tv_distance(samples: np.ndarray, oracle: GridOracle, bins: int | None = None
         raise DimensionError(
             f"samples have dimension {samples.shape[1]}, oracle {oracle.dimension}"
         )
-    if bins is None:
-        bins = MAX_TV_BINS
-    bins = min(bins, MAX_TV_BINS)
     n = len(samples)
-
-    edges = [_bin_edges(oracle, a, bins) for a in range(oracle.dimension)]
+    edges = [oracle.bin_edges(a) for a in range(oracle.dimension)]
     hist, _ = np.histogramdd(samples, bins=edges)
-    inside = hist.sum()
-    outside_frac = (n - inside) / n
-    emp = hist / n
-    orc = _oracle_bin_mass(oracle, bins)
-    return float(0.5 * (np.abs(emp - orc).sum() + outside_frac))
-
-
-# -- drawing from a 1-d oracle --------------------------------------------------------
-
-
-def sample_from_oracle_1d(
-    oracle: GridOracle, stream, stage: int, draws: np.ndarray
-) -> np.ndarray:
-    """Inverse-CDF draws from a 1-d grid oracle, shape (len(draws), 1)."""
-    if oracle.dimension != 1:
-        raise DimensionError("inverse-CDF sampling implemented for dimension 1 only")
-    g = oracle.axes[0]
-    node = oracle.density.copy()
-    cdf = np.concatenate([[0.0], np.cumsum((node[1:] + node[:-1]) / 2.0 * np.diff(g))])
-    cdf /= cdf[-1]
-    draws = np.asarray(draws, dtype=np.uint64)
-    u = stream.uniform_matrix(stage, draws, 1)[:, 0]
-    return np.interp(u, cdf, g)[:, None]
+    outside_frac = (n - hist.sum()) / n
+    return float(0.5 * (np.abs(hist / n - oracle.bin_mass()).sum() + outside_frac))
 
 
 # -- chi-squared initialization check -------------------------------------------------

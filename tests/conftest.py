@@ -1,7 +1,8 @@
 import numpy as np
+from hypothesis import strategies as st
 
 from latgauss.models import LatentGaussian
-from latgauss.nets import MapConstants, identity_net, scale_net, tanh_residual_net
+from latgauss.nets import Layer, MapConstants, Network, identity_net, scale_net, tanh_residual_net
 from latgauss.potential import PosteriorProblem
 
 
@@ -39,3 +40,22 @@ def tanh_problem(d=1, beta=0.1, x=None, epsilon=0.1, alpha=0.5):
     return PosteriorProblem(
         model, np.asarray(x, dtype=float), tanh_constants(alpha), epsilon=epsilon
     )
+
+
+SMOOTH_TAGS = ("identity", "tanh", "square")
+
+
+@st.composite
+def smooth_generators(draw, d=None):
+    """Square smooth nets of depth 1-3 with random widths and per-neuron
+    identity/tanh/square tags, the output layer's included; dimension d, or
+    1-3 when d is None."""
+    if d is None:
+        d = draw(st.integers(1, 3))
+    widths = draw(st.lists(st.integers(1, 5), min_size=0, max_size=2)) + [d]
+    weights = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    layers = []
+    for rows, cols in zip(widths, [d] + widths[:-1]):
+        tags = draw(st.lists(st.sampled_from(SMOOTH_TAGS), min_size=rows, max_size=rows))
+        layers.append(Layer(weights.normal(size=(rows, cols)) / np.sqrt(cols), 0.3 * weights.normal(size=rows), tags))
+    return Network(layers, d)

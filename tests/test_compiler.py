@@ -1,13 +1,16 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import tanh_problem
+from conftest import smooth_generators, tanh_problem
 from latgauss import nets
 from latgauss.compiler import (
     DEFAULT_CARRY_SCALE,
-    add_networks,
+    CompiledEncoder,
     compile_encoder,
     derivative_network,
     equivalence_deviation,
@@ -23,6 +26,7 @@ from latgauss.compiler import (
     step_network,
 )
 from latgauss.errors import UnsupportedDifferentiation
+from latgauss.models import DeepLatentGaussian
 from latgauss.nets import Layer, Network
 from latgauss.pipeline import plan_truncated
 from latgauss.rng import NoiseStream
@@ -57,16 +61,6 @@ def test_parallel_disjoint_slices():
     Z = rng.normal(size=(5, 4))
     want = np.concatenate([f.eval_batch(Z[:, :2]), g.eval_batch(Z[:, 2:])], axis=1)
     assert np.allclose(pa.eval_batch(Z), want, atol=1e-12)
-
-
-def test_add_networks():
-    f = nets.random_smooth_net(2, seed=11, hidden=4)
-    g = nets.random_smooth_net(2, seed=12, hidden=3)
-    s = add_networks(f, g, 0.7, -1.3)
-    Z = rng.normal(size=(8, 2))
-    assert np.allclose(
-        s.eval_batch(Z), 0.7 * f.eval_batch(Z) - 1.3 * g.eval_batch(Z), atol=1e-12
-    )
 
 
 def test_mul_gadget_accuracy_large_values():
@@ -153,23 +147,6 @@ def test_step_network_exact():
     assert np.array_equal(out2[:, 3:], carry)
 
 
-SMOOTH_TAGS = ("identity", "tanh", "square")
-
-
-@st.composite
-def smooth_generators(draw):
-    """Square smooth nets of depth 1-3 with random widths and per-neuron
-    identity/tanh/square tags, the output layer's included."""
-    d = draw(st.integers(1, 3))
-    widths = draw(st.lists(st.integers(1, 5), min_size=0, max_size=2)) + [d]
-    weights = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    layers = []
-    for rows, cols in zip(widths, [d] + widths[:-1]):
-        tags = draw(st.lists(st.sampled_from(SMOOTH_TAGS), min_size=rows, max_size=rows))
-        layers.append(Layer(weights.normal(size=(rows, cols)) / np.sqrt(cols), 0.3 * weights.normal(size=rows), tags))
-    return Network(layers, d)
-
-
 def relative_gap(got, want):
     return float(np.max(np.abs(got - want) / (1.0 + np.abs(want))))
 
@@ -242,6 +219,43 @@ def test_encoder_round_trip_bitwise(tmp_path):
     assert np.array_equal(
         run_encoder(enc, problem.x, s, draws), run_encoder(enc2, problem.x, s, draws)
     )
+
+
+@st.composite
+def smooth_encoders(draw):
+    """Encoders whose stages are random smooth nets of one dimension, some
+    stages sharing a network, with zero and positive variances."""
+    d = draw(st.integers(1, 3))
+    nets_ = draw(st.lists(smooth_generators(d=d), min_size=1, max_size=3))
+    picks = draw(st.lists(st.integers(0, len(nets_) - 1), min_size=1, max_size=6))
+    variances = draw(st.lists(st.sampled_from([0.0, 0.01, 0.3]), min_size=len(picks), max_size=len(picks)))
+    return CompiledEncoder(
+        dlg=DeepLatentGaussian([(nets_[i], v) for i, v in zip(picks, variances)]),
+        gd_stage_count=0,
+        langevin_stage_count=len(picks),
+        step_variance=0.01,
+        eta=0.1,
+        amortized=False,
+        carry_scale=DEFAULT_CARRY_SCALE,
+        dim=d,
+        init_radius=0.5,
+        x=np.zeros(d),
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(enc=smooth_encoders(), seed=st.integers(0, 2**32 - 1))
+def test_encoder_round_trip_bitwise_on_random_smooth_stages(enc, seed):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "enc.json"
+        save_encoder(enc, path)
+        enc2 = load_encoder(path)
+    Z = np.random.default_rng(seed).normal(size=(7, enc.dim))
+    assert len(enc2.dlg.stages) == len(enc.dlg.stages)
+    for (net, var), (net2, var2) in zip(enc.dlg.stages, enc2.dlg.stages):
+        assert var2 == var
+        assert np.array_equal(net2.eval_batch(Z), net.eval_batch(Z))
+    assert enc2.size() == enc.size()
 
 
 def test_encoder_samples_do_not_depend_on_noise_block_size(monkeypatch):

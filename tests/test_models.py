@@ -5,12 +5,22 @@ from latgauss.errors import DimensionError
 from latgauss.models import (
     DeepLatentGaussian,
     LatentGaussian,
-    sample_dlg,
     sample_dlg_batch,
     write_samples_csv,
 )
 from latgauss.nets import identity_net, linear_net, scale_net, tanh_residual_net
 from latgauss.rng import NoiseStream, ZeroStream
+
+
+def sample_dlg(model, inp, stream, draw=0):
+    """Scalar reference for sample_dlg_batch: one input row, stage s noise at
+    counter (s, draw)."""
+    state = np.asarray(inp, dtype=np.float64)
+    for s, (net, var) in enumerate(model.stages):
+        state = net.eval(state)
+        if var > 0.0:
+            state = state + np.sqrt(var) * stream.normal(s, draw, len(state))
+    return state
 
 
 def test_latent_gaussian_validation():

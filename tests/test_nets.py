@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import smooth_generators
 from latgauss import nets
 from latgauss.errors import InvertibilityError, UnsupportedDifferentiation
 from latgauss.nets import (
@@ -105,12 +106,16 @@ def test_activation_groups_index_each_code():
     assert np.allclose(net.jacobian_batch(Z)[:, 0, :], [fd_jacobian(net, z)[0] for z in Z], atol=1e-7)
 
 
-def test_json_round_trip_bitwise():
-    net = random_smooth_net(3, seed=7)
+@settings(max_examples=60, deadline=None)
+@given(net=smooth_generators(), seed=st.integers(0, 2**32 - 1))
+def test_json_round_trip_bitwise(net, seed):
     clone = Network.from_json(net.to_json())
-    Z = rng.normal(size=(5, 3))
-    assert np.array_equal(net.eval_batch(Z), clone.eval_batch(Z))
+    Z = np.random.default_rng(seed).normal(size=(7, net.input_dim))
+    assert np.array_equal(clone.eval_batch(Z), net.eval_batch(Z))
     assert clone.depth == net.depth and clone.input_dim == net.input_dim
+    assert [layer.activation_tags() for layer in clone.layers] == [
+        layer.activation_tags() for layer in net.layers
+    ]
 
 
 def test_as_linear():

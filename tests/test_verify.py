@@ -1,19 +1,18 @@
-import dataclasses
+import functools
 
 import numpy as np
 import pytest
+from scipy.special import ndtr
 
 from conftest import identity_problem, scale_problem, tanh_problem
-from latgauss import verify
 from latgauss.errors import DimensionError, SupportError
-from latgauss.potential import RegionD, refine_inverse, region
+from latgauss.potential import RegionD, potential_batch, refine_inverse, region
 from latgauss.rng import NoiseStream
 from latgauss.verify import (
     build_grid_oracle,
     chi2_initialization,
     gaussian_moment_test,
     linear_posterior,
-    sample_from_oracle_1d,
     tv_distance,
 )
 
@@ -27,7 +26,7 @@ def prepared(problem):
 def test_identity_oracle_matches_closed_form():
     # G = identity, x = 0, beta = 1: posterior N(0, 1/2)
     prob = identity_problem(d=1, beta=1.0, x=[0.0])
-    orc = build_grid_oracle(prob, prepared(prob), 4001)
+    orc = build_grid_oracle(prob, prepared(prob))
     grid = orc.axes[0]
     want = np.exp(-grid**2) / np.sqrt(np.pi)
     assert abs(orc.integral() - 1.0) < 1e-6
@@ -37,7 +36,7 @@ def test_identity_oracle_matches_closed_form():
 def test_linear_oracle_matches_conjugate_posterior():
     # G = 2z, x = 1, beta = 0.5: precision 1 + 4/0.25 = 17, mean 8/17
     prob = scale_problem(a=2.0, d=1, beta=0.5, x=[1.0])
-    orc = build_grid_oracle(prob, prepared(prob), 4001)
+    orc = build_grid_oracle(prob, prepared(prob))
     mean, cov = linear_posterior(np.array([[2.0]]), np.zeros(1), 0.5, np.array([1.0]))
     assert mean[0] == pytest.approx(8.0 / 17.0)
     assert cov[0, 0] == pytest.approx(1.0 / 17.0)
@@ -54,23 +53,25 @@ def test_oracle_requires_low_dim():
 
 
 def test_oracle_self_sampling_tv_small():
+    # exact draws from the conjugate posterior of the same linear problem
     prob = scale_problem(a=2.0, d=1, beta=0.5, x=[1.0])
-    orc = build_grid_oracle(prob, prepared(prob), 4001)
-    s = sample_from_oracle_1d(orc, stream, 7, np.arange(10_000, dtype=np.uint64))
+    orc = build_grid_oracle(prob, prepared(prob))
+    mean, cov = linear_posterior(np.array([[2.0]]), np.zeros(1), 0.5, np.array([1.0]))
+    s = mean + np.sqrt(cov[0, 0]) * stream.normal_matrix(7, np.arange(10_000, dtype=np.uint64), 1)
     assert tv_distance(s, orc) <= 0.03
 
 
 def test_point_mass_tv_near_one():
     # disjoint-support limit: a point mass off the bulk has TV -> 1
     prob = scale_problem(a=2.0, d=1, beta=0.5, x=[1.0])
-    orc = build_grid_oracle(prob, prepared(prob), 4001)
+    orc = build_grid_oracle(prob, prepared(prob))
     pm = np.full((2000, 1), orc.center[0] + orc.half_width / 2)
     assert tv_distance(pm, orc) >= 0.9
 
 
 def test_tv_outside_grid_counts_fully():
     prob = identity_problem(d=1, beta=1.0, x=[0.0])
-    orc = build_grid_oracle(prob, prepared(prob), 2001)
+    orc = build_grid_oracle(prob, prepared(prob))
     far = np.full((100, 1), orc.center[0] + 10 * orc.half_width)
     assert tv_distance(far, orc) == pytest.approx(1.0)
 
@@ -174,30 +175,56 @@ def test_linear_posterior_general_formula():
 def test_restricted_oracle_clips_support():
     prob = tanh_problem(d=1, beta=0.1, x=[0.9])
     reg = prepared(prob)
-    orc = build_grid_oracle(prob, reg, 2001, restricted=True)
+    orc = build_grid_oracle(prob, reg, restricted=True)
     outside = np.abs(orc.axes[0] - reg.center[0]) > reg.radius
     assert np.all(orc.density[outside] == 0.0)
     assert abs(orc.integral() - 1.0) < 1e-6
 
 
-@pytest.mark.parametrize("d, n", [(1, 300_001), (2, 600)])
-def test_blocked_oracle_equals_one_unblocked_evaluation(d, n, monkeypatch):
+LINEAR_PROBLEMS = {
+    "identity-d1": (identity_problem(d=1, beta=1.0, x=[0.0]), 1.0),
+    "scale-d1": (scale_problem(a=2.0, d=1, beta=0.5, x=[1.0]), 2.0),
+    "identity-d2": (identity_problem(d=2, beta=0.3, x=[0.5, -0.2]), 1.0),
+    "scale-d2": (scale_problem(a=2.0, d=2, beta=0.25, x=[1.0, 0.3]), 2.0),
+}
+
+
+@pytest.mark.parametrize("name", LINEAR_PROBLEMS)
+def test_oracle_bin_masses_equal_exact_gaussian_masses(name):
+    # the conjugate posterior of G = a z is diagonal, so each bin's mass is a
+    # product of normal CDF differences along the axes
+    prob, a = LINEAR_PROBLEMS[name]
+    d = prob.dim
+    orc = build_grid_oracle(prob, prepared(prob))
+    mean, cov = linear_posterior(a * np.eye(d), np.zeros(d), prob.beta, prob.x)
+    per_axis = [
+        np.diff(ndtr((orc.bin_edges(k) - mean[k]) / np.sqrt(cov[k, k]))) for k in range(d)
+    ]
+    exact = per_axis[0] if d == 1 else np.outer(*per_axis)
+    assert np.abs(orc.bin_mass() - exact).sum() <= 1e-9
+
+
+def reference_bin_mass(problem, orc, nodes=24):
+    """Bin masses of e^{-L} on the oracle's bins by a 24-node Gauss-Legendre
+    rule per bin and axis, normalized over the box."""
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    axes, weights = [], []
+    for k in range(problem.dim):
+        e = orc.bin_edges(k)
+        half = np.diff(e)[:, None] / 2.0
+        axes.append(((e[:-1, None] + half) + half * x).ravel())
+        weights.append((half * w).ravel())
+    mesh = np.meshgrid(*axes, indexing="ij")
+    logp = -potential_batch(problem, np.stack([m.ravel() for m in mesh], axis=1))
+    weight = functools.reduce(np.multiply.outer, weights)
+    mass = np.exp(logp - logp.max()).reshape(weight.shape) * weight
+    bins = len(orc.bin_edges(0)) - 1
+    mass = mass.reshape((bins, nodes) * problem.dim).sum(axis=tuple(range(1, 2 * problem.dim, 2)))
+    return mass / mass.sum()
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_oracle_bin_masses_match_fine_quadrature_on_tanh_residual(d):
     prob = tanh_problem(d=d, beta=0.3, x=np.full(d, 0.5))
-    reg = prepared(prob)
-    whole = verify.potential_batch
-    sizes = []
-
-    def counted(problem, Z):
-        sizes.append(len(Z))
-        return whole(problem, Z)
-
-    monkeypatch.setattr(verify, "potential_batch", counted)
-    orc = build_grid_oracle(prob, reg, n)
-    assert len(sizes) > 1 and sizes[-1] != sizes[0] and sum(sizes) == n**d  # ragged last block
-
-    mesh = np.meshgrid(*orc.axes, indexing="ij")
-    logp = -whole(prob, np.stack([m.ravel() for m in mesh], axis=1))
-    logp -= logp.max()
-    dens = np.exp(logp).reshape((n,) * d)
-    total = dataclasses.replace(orc, density=dens).integral()
-    assert np.array_equal(orc.density, dens / total)
+    orc = build_grid_oracle(prob, prepared(prob))
+    assert np.abs(orc.bin_mass() - reference_bin_mass(prob, orc)).sum() <= 1e-9
