@@ -10,10 +10,14 @@ nonzero exit code.
 `sample`, `compile` and `verify` each plan once under the config's caps
 (`pipeline.plan_pipeline`, or `plan_truncated` for the compiled encoder) and
 pass that plan to everything that runs chains: `run_planned_chains`, the
-experiments and the compile self-test. `--jobs` and the `jobs` config key
-are still accepted and validated for older invocations; all chains run as
-one vectorized batch, and the counter-based stream keys every word on the
-absolute chain index, so no split could change a sample.
+experiments and the compile self-test. `verify` runs the experiments the
+config names, from `compiled`, `exit`, `mixing` and `tv`. The exit and TV
+blocks of `sample`'s report are the experiments' own gates
+(`experiments.exit_gate` and `tv_gate`), so each threshold has one owner.
+`--jobs` and the `jobs` config key are still accepted and validated for older
+invocations; all chains run as one vectorized batch, and the counter-based
+stream keys every word on the absolute chain index, so no split could change
+a sample.
 """
 
 from __future__ import annotations
@@ -40,13 +44,12 @@ from .compiler import (
 from .config import RunConfig, load_config
 from .errors import LatgaussError, VerificationError
 from .experiments import (
-    cir_comparison_experiment,
     compiled_vs_direct_experiment,
     exit_fraction_experiment,
-    exit_threshold,
+    exit_gate,
     mixing_trend_experiment,
     posterior_tv_experiment,
-    tv_threshold,
+    tv_gate,
 )
 from .invert import gd_invert, make_gd_plan
 from .lowerbound import demo_report
@@ -55,7 +58,7 @@ from .nets import as_linear
 from .pipeline import build_problem, plan_pipeline, plan_truncated, run_planned_chains
 from .potential import check_inverse, diagnostics_report, refine_inverse, region_radius
 from .rng import NoiseStream
-from .verify import build_grid_oracle, chi2_initialization, gaussian_moment_test, linear_posterior, tv_distance
+from .verify import build_grid_oracle, chi2_initialization, gaussian_moment_test, linear_posterior
 
 
 # -- report plumbing ----------------------------------------------------------------
@@ -175,17 +178,7 @@ def cmd_sample(cfg: RunConfig) -> int:
         sidecar={"config_sha256": config_hash(cfg), "seed": cfg.seed},
     )
 
-    n = cfg.samples
-    frac = float(result.exited.mean())
-    threshold = exit_threshold(problem.epsilon, n)
-    exit_block = {
-        "chains": n,
-        "exit_fraction": frac,
-        "bound": problem.epsilon / 4.0,
-        "threshold": threshold,
-        "pass": bool(frac <= threshold),
-    }
-
+    exit_block = exit_gate(result.exited, problem.epsilon)
     report = _report_header(cfg, "sample")
     report.update(
         {
@@ -201,15 +194,12 @@ def cmd_sample(cfg: RunConfig) -> int:
         }
     )
     if problem.dim <= 2:
-        oracle = build_grid_oracle(problem, planned.region)
-        tv = tv_distance(finals, oracle)
-        tv_gate = tv_threshold(problem.epsilon)
-        report["tv"] = {"tv": float(tv), "threshold": tv_gate, "pass": bool(tv <= tv_gate)}
+        report["tv"] = tv_gate(finals, build_grid_oracle(problem, planned.region), problem.epsilon)
     else:
         report["tv"] = {"skipped": "grid oracle supports dimension 1 and 2 only"}
 
     path = _write_report(cfg, "sample_report.json", report)
-    print(f"sample: n={n} exit_fraction={frac:.4g} report={path}")
+    print(f"sample: n={cfg.samples} exit_fraction={exit_block['exit_fraction']:.4g} report={path}")
     return 0
 
 
@@ -276,9 +266,6 @@ _EXPERIMENTS = {
     ),
     "mixing": lambda problem, planned, cfg: mixing_trend_experiment(
         problem, planned, NoiseStream(cfg.seed + 13), chains=cfg.chains
-    ),
-    "cir": lambda problem, planned, cfg: cir_comparison_experiment(
-        problem, NoiseStream(cfg.seed + 14)
     ),
     "compiled": lambda problem, planned, cfg: compiled_vs_direct_experiment(
         problem,

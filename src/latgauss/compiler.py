@@ -45,7 +45,7 @@ x into biases and take input (z0, n).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -457,13 +457,13 @@ class CompiledEncoder:
     """
 
     dlg: DeepLatentGaussian
+    dim: int
     gd_stage_count: int
     langevin_stage_count: int
     step_variance: float
     eta: float
     amortized: bool
     carry_scale: float
-    dim: int
     init_radius: float
     x: np.ndarray | None  # baked observation when not amortized
 
@@ -475,6 +475,17 @@ class CompiledEncoder:
 
     def size(self) -> int:
         return self.dlg.size()
+
+
+# The scalar metadata fields in declaration order: save_encoder writes them in
+# this order, load_encoder reads them back, and manifest reports them.
+_METADATA = tuple(f.name for f in fields(CompiledEncoder) if f.name not in ("dlg", "x"))
+
+
+def _linear_stage(blocks) -> Network:
+    """One identity-activation layer whose weight is the block layout."""
+    W = np.block(blocks)
+    return Network([Layer(W, np.zeros(W.shape[0]), _ID_TAG)], W.shape[1])
 
 
 def compile_encoder(
@@ -489,68 +500,19 @@ def compile_encoder(
     S, K = gd_plan.steps, plan.steps
     h = plan.h
     lam = carry_scale if amortized else 1.0
-
-    if amortized:
-        # input (z0, x, n) -> (0, lam*x, n)
-        zero = Network(
-            [
-                Layer(
-                    np.vstack(
-                        [
-                            np.zeros((d, 3 * d)),
-                            np.hstack([np.zeros((d, d)), lam * np.eye(d), np.zeros((d, d))]),
-                            np.hstack([np.zeros((d, 2 * d)), np.eye(d)]),
-                        ]
-                    ),
-                    np.zeros(3 * d),
-                    _ID_TAG,
-                )
-            ],
-            3 * d,
-        )
-        gd_step = step_network(g, 1.0, -gd_plan.eta, x_scale=lam, extra_carry=d)
-        init = Network(
-            [
-                Layer(
-                    np.vstack(
-                        [
-                            np.hstack([np.eye(d), np.zeros((d, d)), np.eye(d)]),
-                            np.hstack([np.zeros((d, d)), np.eye(d), np.zeros((d, d))]),
-                        ]
-                    ),
-                    np.zeros(2 * d),
-                    _ID_TAG,
-                )
-            ],
-            3 * d,
-        )
-        lan_step = step_network(g, 1.0 - h, -h / problem.beta**2, x_scale=lam)
-        out = Network(
-            [Layer(np.hstack([np.eye(d), np.zeros((d, d))]), np.zeros(d), _ID_TAG)], 2 * d
-        )
-    else:
-        # input (z0, n) -> (0, n)
-        zero = Network(
-            [
-                Layer(
-                    np.vstack(
-                        [
-                            np.zeros((d, 2 * d)),
-                            np.hstack([np.zeros((d, d)), np.eye(d)]),
-                        ]
-                    ),
-                    np.zeros(2 * d),
-                    _ID_TAG,
-                )
-            ],
-            2 * d,
-        )
-        gd_step = step_network(g, 1.0, -gd_plan.eta, x_const=problem.x, extra_carry=d)
-        init = Network(
-            [Layer(np.hstack([np.eye(d), np.eye(d)]), np.zeros(d), _ID_TAG)], 2 * d
-        )
-        lan_step = step_network(g, 1.0 - h, -h / problem.beta**2, x_const=problem.x)
-        out = identity_chain(d, 1)
+    E, Z = np.eye(d), np.zeros((d, d))
+    if amortized:  # input (z0, x, n) -> (0, lam*x, n) -> (z + n, lam*x) -> z
+        zero = _linear_stage([[Z, Z, Z], [Z, lam * E, Z], [Z, Z, E]])
+        init = _linear_stage([[E, Z, E], [Z, E, Z]])
+        out = _linear_stage([[E, Z]])
+        x_wire = {"x_scale": lam}
+    else:  # input (z0, n) -> (0, n) -> z + n -> z, with x in the step biases
+        zero = _linear_stage([[Z, Z], [Z, E]])
+        init = _linear_stage([[E, E]])
+        out = _linear_stage([[E]])
+        x_wire = {"x_const": problem.x}
+    gd_step = step_network(g, 1.0, -gd_plan.eta, extra_carry=d, **x_wire)
+    lan_step = step_network(g, 1.0 - h, -h / problem.beta**2, **x_wire)
 
     stages = (
         [(zero, 0.0)]
@@ -617,14 +579,7 @@ def save_encoder(encoder: CompiledEncoder, path):
         stage_rows.append({"network": ids[key], "variance": var})
     doc = {
         "format": ENCODER_FORMAT,
-        "dim": encoder.dim,
-        "gd_stage_count": encoder.gd_stage_count,
-        "langevin_stage_count": encoder.langevin_stage_count,
-        "step_variance": encoder.step_variance,
-        "eta": encoder.eta,
-        "amortized": encoder.amortized,
-        "carry_scale": encoder.carry_scale,
-        "init_radius": encoder.init_radius,
+        **{name: getattr(encoder, name) for name in _METADATA},
         "x": None if encoder.x is None else encoder.x.tolist(),
         "networks": [json.loads(n.to_json()) for n in unique],
         "stages": stage_rows,
@@ -642,15 +597,8 @@ def load_encoder(path) -> CompiledEncoder:
     stages = [(nets[row["network"]], row["variance"]) for row in doc["stages"]]
     return CompiledEncoder(
         dlg=DeepLatentGaussian(stages),
-        gd_stage_count=doc["gd_stage_count"],
-        langevin_stage_count=doc["langevin_stage_count"],
-        step_variance=doc["step_variance"],
-        eta=doc["eta"],
-        amortized=doc["amortized"],
-        carry_scale=doc["carry_scale"],
-        dim=doc["dim"],
-        init_radius=doc["init_radius"],
         x=None if doc["x"] is None else np.array(doc["x"]),
+        **{name: doc[name] for name in _METADATA},
     )
 
 
@@ -660,15 +608,8 @@ def manifest(encoder: CompiledEncoder, generator: Network) -> dict:
     dlg = encoder.dlg
     S, K = encoder.gd_stage_count, encoder.langevin_stage_count
     return {
-        "dim": encoder.dim,
-        "gd_stage_count": encoder.gd_stage_count,
-        "langevin_stage_count": encoder.langevin_stage_count,
+        **{name: getattr(encoder, name) for name in _METADATA},
         "total_stages": len(dlg.stages),
-        "step_variance": encoder.step_variance,
-        "eta": encoder.eta,
-        "amortized": encoder.amortized,
-        "carry_scale": encoder.carry_scale,
-        "init_radius": encoder.init_radius,
         "parameter_count": dlg.size(),
         "generator_params": generator.size(),
         "gd_stage_params": dlg.stages[1][0].size() if S else None,

@@ -15,46 +15,51 @@ import numpy as np
 from .errors import DimensionError
 from .pipeline import PipelinePlan, run_planned_chains
 from .potential import PosteriorProblem
-from .rng import normal_rows
 from .verify import build_grid_oracle, tv_distance
 
 TV_BINNING_ALLOWANCE = 0.03
 
 
-def exit_slack(epsilon: float, chains: int) -> float:
-    """Binomial slack 2 sqrt(epsilon/(4n)) on an exit fraction over n chains."""
-    return 2.0 * float(np.sqrt(epsilon / (4.0 * chains)))
+def exit_gate(exited: np.ndarray, epsilon: float) -> dict:
+    """Exit-fraction gate over n chains: the fraction is held to the bound
+    epsilon/4 plus binomial slack 2 sqrt(epsilon/(4n))."""
+    chains = len(exited)
+    frac = float(exited.mean())
+    bound = epsilon / 4.0
+    slack = 2.0 * float(np.sqrt(epsilon / (4.0 * chains)))
+    threshold = bound + slack
+    return {
+        "chains": int(chains),
+        "exit_fraction": frac,
+        "bound": bound,
+        "slack": slack,
+        "threshold": float(threshold),
+        "pass": bool(frac <= threshold),
+    }
 
 
-def exit_threshold(epsilon: float, chains: int) -> float:
-    """Exit-fraction gate: the bound epsilon/4 plus binomial slack."""
-    return epsilon / 4.0 + exit_slack(epsilon, chains)
-
-
-def tv_threshold(epsilon: float) -> float:
-    """TV gate against a grid oracle: the bound epsilon/2 plus binning allowance."""
-    return epsilon / 2.0 + TV_BINNING_ALLOWANCE
+def tv_gate(samples: np.ndarray, oracle, epsilon: float) -> dict:
+    """TV gate against a grid oracle: the TV is held to the bound epsilon/2
+    plus the binning allowance."""
+    tv = float(tv_distance(samples, oracle))
+    bound = epsilon / 2.0
+    threshold = bound + TV_BINNING_ALLOWANCE
+    return {
+        "tv": tv,
+        "bound": bound,
+        "binning_allowance": TV_BINNING_ALLOWANCE,
+        "threshold": float(threshold),
+        "pass": bool(tv <= threshold),
+    }
 
 
 def exit_fraction_experiment(
     problem: PosteriorProblem, planned: PipelinePlan, stream, chains: int = 1000
 ) -> dict:
-    """Fraction of planned (unprojected) chains that ever leave the region.
-
-    Contract: fraction <= epsilon/4 plus binomial slack 2 sqrt(epsilon/(4n)).
-    """
+    """Fraction of planned (unprojected) chains that ever leave the region,
+    held to exit_gate."""
     result = run_planned_chains(problem, planned, stream, chains)
-    frac = float(result.exited.mean())
-    threshold = exit_threshold(problem.epsilon, chains)
-    return {
-        "chains": int(chains),
-        "exit_fraction": frac,
-        "bound": problem.epsilon / 4.0,
-        "slack": exit_slack(problem.epsilon, chains),
-        "threshold": float(threshold),
-        "pass": bool(frac <= threshold),
-        "langevin_steps": planned.plan.steps,
-    }
+    return {**exit_gate(result.exited, problem.epsilon), "langevin_steps": planned.plan.steps}
 
 
 def posterior_tv_experiment(
@@ -63,23 +68,15 @@ def posterior_tv_experiment(
     stream,
     samples: int = 10_000,
 ) -> dict:
-    """TV between planned chains' samples and the grid oracle at d = 1.
-
-    Contract: TV <= epsilon/2 + 0.03 binning allowance.
-    """
+    """TV between planned chains' samples and the grid oracle at d = 1,
+    held to tv_gate."""
     if problem.dim != 1:
         raise DimensionError("posterior TV experiment runs at dimension 1")
     result = run_planned_chains(problem, planned, stream, samples)
     oracle = build_grid_oracle(problem, planned.region)
-    tv = tv_distance(result.finals, oracle)
-    threshold = tv_threshold(problem.epsilon)
     return {
         "samples": int(samples),
-        "tv": float(tv),
-        "bound": problem.epsilon / 2.0,
-        "binning_allowance": TV_BINNING_ALLOWANCE,
-        "threshold": float(threshold),
-        "pass": bool(tv <= threshold),
+        **tv_gate(result.finals, oracle, problem.epsilon),
         "exit_fraction": float(result.exited.mean()),
         "langevin_steps": planned.plan.steps,
         "h": planned.plan.h,
@@ -144,72 +141,6 @@ def mixing_trend_experiment(
         "non_increasing": bool(non_increasing),
         "below_envelope": bool(below),
         "pass": bool(non_increasing and below),
-    }
-
-
-def cir_comparison_experiment(
-    problem: PosteriorProblem,
-    stream,
-    paths: int = 64,
-    steps: int = 2000,
-    stage_base: int = 1,
-) -> dict:
-    """Paired-path domination of the squared distance by an Euler CIR.
-
-    Linear d=1 generators only: the chain contracts as v' = (1-h kappa) v +
-    sqrt(2h) xi with kappa the constant curvature, so U = v^2/2 satisfies a
-    squared-OU recursion. The CIR partner shares the signed noise projection
-    s = sign(v) xi and uses the matched contraction 1 - hB = (1 - h kappa)^2
-    with unit drift (d = 1), clipped at zero. Contract: U never exceeds X by
-    more than a cumulative sqrt(h) per-step budget.
-    """
-    from .nets import as_linear
-
-    if problem.dim != 1:
-        raise DimensionError("comparison experiment runs at dimension 1")
-    lin = as_linear(problem.model.generator)
-    if lin is None:
-        raise DimensionError("comparison experiment needs a linear generator")
-    A, b = lin
-    a = float(A[0, 0])
-    beta = problem.beta
-    kappa = 1.0 + a * a / (beta * beta)
-    zhat = a * (float(problem.x[0]) - float(b[0])) / (a * a + beta * beta)
-    h = min(problem.epsilon * beta * beta / (2.0 * a * a + 1e-12), 1.0 / (4.0 * kappa))
-
-    v = np.full(paths, 0.3 / np.sqrt(kappa))
-    U = 0.5 * v * v
-    X = U.copy()
-    B = 2.0 * kappa - h * kappa * kappa
-    draws = np.arange(paths, dtype=np.uint64)
-    max_excess = -np.inf
-    max_excess_increment = -np.inf
-    budget = np.sqrt(h)
-    worst_margin = np.inf
-    prev_excess = U - X
-    for k, step_noise in enumerate(normal_rows(stream, stage_base, steps, draws, 1)):
-        xi = step_noise[:, 0]
-        s = np.where(v >= 0.0, xi, -xi)
-        v = (1.0 - h * kappa) * v + np.sqrt(2.0 * h) * xi
-        U = 0.5 * v * v
-        X = X + h * (1.0 - B * X) + 2.0 * np.sqrt(h * np.maximum(X, 0.0)) * s
-        X = np.maximum(X, 0.0)
-        excess = U - X
-        max_excess = max(max_excess, float(np.max(excess)))
-        max_excess_increment = max(max_excess_increment, float(np.max(excess - prev_excess)))
-        worst_margin = min(worst_margin, float(np.min((k + 1) * budget - excess)))
-        prev_excess = excess
-    ok = worst_margin >= 0.0 and max_excess_increment <= budget
-    return {
-        "paths": int(paths),
-        "steps": int(steps),
-        "h": float(h),
-        "kappa": float(kappa),
-        "max_excess": float(max_excess),
-        "max_excess_increment": float(max_excess_increment),
-        "per_step_budget": float(budget),
-        "pass": bool(ok),
-        "zhat": zhat,
     }
 
 

@@ -11,10 +11,11 @@ curvature along the sweep:
 
 Every accepted step must satisfy the adjusted descent inequality
 f(z') <= f(z) - ||grad f(z)||^2 / (2Q); a violation means Q was underestimated
-(possible with sampled constants) and surfaces as DescentViolation. The
-iterates stay in the ball A = { ||z|| <= (M/m + 1) ||x|| / m } and the final
-error obeys ||z_S - zhat|| <= sqrt(2 Q f(z_0) / S) / m^2. Convergence is
-declared on the observable criterion ||G(z_S) - x|| <= m delta.
+(possible with sampled constants) and surfaces as DescentViolation, which
+carries the step and both objectives; nothing retries it. The iterates stay
+in the ball A = { ||z|| <= (M/m + 1) ||x|| / m } and the final error obeys
+||z_S - zhat|| <= sqrt(2 Q f(z_0) / S) / m^2. Convergence is declared on the
+observable criterion ||G(z_S) - x|| <= m delta.
 """
 
 from __future__ import annotations
@@ -27,8 +28,6 @@ import numpy as np
 from .errors import DescentViolation, NumericalBlowup
 from .potential import PosteriorProblem, region_radius
 
-MAX_STORED_ITERATES = 1024
-
 
 @dataclass
 class GdPlan:
@@ -40,11 +39,9 @@ class GdPlan:
 
 @dataclass
 class GdTrace:
-    """Descent record. Objectives and gradient norms cover every step; the
-    iterate list is thinned to a bounded count (first and last always kept)."""
+    """Descent record: the objective and gradient norm at every step (what
+    write_csv emits as descent_trace.csv) and the final iterate."""
 
-    iterates: np.ndarray  # (k, d) thinned
-    iterate_steps: np.ndarray  # (k,) step index of each stored iterate
     objectives: np.ndarray  # (steps_run + 1,)
     grad_norms: np.ndarray  # (steps_run + 1,)
     converged: bool
@@ -93,8 +90,6 @@ def gd_invert(
     m = problem.constants.m
     z = np.zeros(problem.dim) if start is None else np.asarray(start, dtype=np.float64).copy()
 
-    stride = max(1, plan.steps // MAX_STORED_ITERATES)
-    kept, kept_steps = [z.copy()], [0]
     objectives = np.empty(plan.steps + 1)
     grad_norms = np.empty(plan.steps + 1)
 
@@ -124,47 +119,16 @@ def gd_invert(
             )
         z, r, obj = z_next, r_next, obj_next
         steps_run = s + 1
-        if steps_run % stride == 0:
-            kept.append(z.copy())
-            kept_steps.append(steps_run)
 
     objectives[steps_run] = obj
     grad_norms[steps_run] = float(
         np.linalg.norm(g.vjp_batch(z[None, :], r[None, :])[1][0])
     )
-    if kept_steps[-1] != steps_run:
-        kept.append(z.copy())
-        kept_steps.append(steps_run)
     converged = bool(np.sqrt(2.0 * obj) <= m * plan.delta)
     return GdTrace(
-        iterates=np.array(kept),
-        iterate_steps=np.array(kept_steps),
         objectives=objectives[: steps_run + 1].copy(),
         grad_norms=grad_norms[: steps_run + 1].copy(),
         converged=converged,
         steps_run=steps_run,
         final=z,
     )
-
-
-def invert_with_retries(
-    problem: PosteriorProblem,
-    delta: float | None = None,
-    max_steps: int = 10**6,
-    max_retries: int = 10,
-    early_stop: bool = True,
-) -> tuple[GdTrace, GdPlan]:
-    """Invert, doubling Q (and replanning) on each descent violation."""
-    plan = make_gd_plan(problem, delta=delta, max_steps=max_steps)
-    for attempt in range(max_retries + 1):
-        try:
-            return gd_invert(problem, plan, early_stop=early_stop), plan
-        except DescentViolation:
-            if attempt == max_retries:
-                raise
-            c = problem.constants
-            Q = plan.Q * 2.0
-            xnorm = float(np.linalg.norm(problem.x))
-            steps = int(np.ceil(Q * xnorm**2 / (c.m**4 * plan.delta**2)))
-            plan = GdPlan(eta=1.0 / Q, steps=min(steps, max_steps), Q=Q, delta=plan.delta)
-    raise AssertionError("unreachable")

@@ -22,7 +22,6 @@ import numpy as np
 
 from .errors import DimensionError
 from .nets import Network
-from .rng import NoiseStream, ZeroStream  # noqa: F401  (re-exported)
 from .rng import normal_rows
 
 

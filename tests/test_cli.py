@@ -6,6 +6,7 @@ import pytest
 from scipy.optimize import brentq
 
 from latgauss import cli, invert
+from latgauss.experiments import exit_fraction_experiment, posterior_tv_experiment
 from latgauss.nets import MapConstants, tanh_residual_net
 from latgauss.pipeline import build_problem, plan_pipeline, run_planned_chains
 from latgauss.rng import NoiseStream
@@ -106,21 +107,47 @@ def test_sample_worker_count_does_not_change_output(tmp_path):
     assert (out1 / "samples.csv").read_bytes() == (out4 / "samples.csv").read_bytes()
 
 
-def test_sample_writes_direct_pipeline_finals(tmp_path):
-    # the CLI plans once and runs chains through run_planned_chains, on
-    # stream seed + 1, so its samples are the library's finals bit for bit
-    raw = {"generator": {"builtin": "tanh-residual", "alpha": 0.5}, "d": 1, "beta": 0.1,
-           "epsilon": 0.5, "x": [0.6], "constants": TANH_CONSTANTS, "samples": 40, "seed": 3}
-    cfgp = write_config(tmp_path, "c.json", raw)
-    out = tmp_path / "out"
-    assert run(["sample", "--config", cfgp, "--out", str(out), "--jobs", "2"]) == 0
-    problem = build_problem(
+# 40 chains on stream seed + 1 = 4
+SMALL_SAMPLE = {"generator": {"builtin": "tanh-residual", "alpha": 0.5}, "d": 1, "beta": 0.1,
+                "epsilon": 0.5, "x": [0.6], "constants": TANH_CONSTANTS, "samples": 40, "seed": 3}
+
+
+def small_sample_problem():
+    return build_problem(
         tanh_residual_net(1, 0.5), 0.1, np.array([0.6]), epsilon=0.5,
         constants=MapConstants(**TANH_CONSTANTS),
     )
+
+
+def test_sample_writes_direct_pipeline_finals(tmp_path):
+    # the CLI plans once and runs chains through run_planned_chains, on
+    # stream seed + 1, so its samples are the library's finals bit for bit
+    cfgp = write_config(tmp_path, "c.json", SMALL_SAMPLE)
+    out = tmp_path / "out"
+    assert run(["sample", "--config", cfgp, "--out", str(out), "--jobs", "2"]) == 0
+    problem = small_sample_problem()
     want = run_planned_chains(problem, plan_pipeline(problem), NoiseStream(4), 40).finals
     got = np.loadtxt(out / "samples.csv", delimiter=",", skiprows=1, ndmin=2)
     assert np.array_equal(got, want)
+
+
+def test_sample_gates_are_the_experiments_gates(tmp_path):
+    # sample's exit and tv blocks are the dicts the exit and tv experiments
+    # embed, on the same plan and stream
+    cfgp = write_config(tmp_path, "c.json", SMALL_SAMPLE)
+    out = tmp_path / "out"
+    assert run(["sample", "--config", cfgp, "--out", str(out)]) == 0
+    rep = read_json(out / "sample_report.json")
+    problem = small_sample_problem()
+    planned = plan_pipeline(problem)
+    exit_rep = exit_fraction_experiment(problem, planned, NoiseStream(4), chains=40)
+    tv_rep = posterior_tv_experiment(problem, planned, NoiseStream(4), samples=40)
+    assert rep["exit"] == {k: v for k, v in exit_rep.items() if k != "langevin_steps"}
+    assert rep["tv"] == {
+        k: v for k, v in tv_rep.items() if k not in ("samples", "exit_fraction", "langevin_steps", "h")
+    }
+    assert set(rep["exit"]) == {"chains", "exit_fraction", "bound", "slack", "threshold", "pass"}
+    assert set(rep["tv"]) == {"tv", "bound", "binning_allowance", "threshold", "pass"}
 
 
 @pytest.mark.parametrize("jobs", ["0", "-2", "two"])
@@ -200,6 +227,7 @@ def test_verify_passes_on_smooth_problem(tmp_path):
     assert rep["diagnostics"]["pass"]
     assert rep["chi2"]["pass"]
     assert "moments" not in rep  # nonlinear generator has no Gaussian oracle
+    assert rep["diagnostics"]["constants"]["estimated"] is False  # the config supplies them
 
 
 def count_descents(monkeypatch):
@@ -255,17 +283,22 @@ def test_verify_experiments_run_on_the_capped_plan(tmp_path, monkeypatch):
     assert seen == [20]
 
 
-def test_verify_rejects_unknown_experiment(tmp_path, capsys):
+@pytest.mark.parametrize("name", ["nope", "cir"])
+def test_verify_rejects_unknown_experiment(tmp_path, capsys, monkeypatch, name):
     cfgp = write_config(
         tmp_path,
         "c.json",
         {"generator": {"builtin": "tanh-residual"}, "d": 1, "beta": 0.1,
-         "constants": TANH_CONSTANTS, "experiments": ["nope"]},
+         "constants": TANH_CONSTANTS, "experiments": [name]},
     )
+    calls = count_descents(monkeypatch)
     assert run(["verify", "--config", cfgp, "--out", str(tmp_path / "o")]) == 1
     err = json.loads(capsys.readouterr().out)
-    assert "nope" in err["message"]
-    assert "exit" in err["message"]  # the valid choices are listed
+    assert err["error"] == "LatgaussError"
+    assert repr(name) in err["message"]
+    # the valid choices are listed, and the name was refused before any descent
+    assert err["message"].endswith("['compiled', 'exit', 'mixing', 'tv']")
+    assert calls == []
 
 
 def test_lowerbound_report_and_cap(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import tempfile
 from pathlib import Path
 
@@ -208,17 +209,34 @@ def test_encoder_equivalence(amortized):
     assert dev <= 1e-6
 
 
+def round_trip(enc, tmp):
+    """save -> load -> save: every metadata field survives and the second
+    file has the first one's bytes. Returns the loaded encoder."""
+    first, second = Path(tmp) / "enc.json", Path(tmp) / "again.json"
+    save_encoder(enc, first)
+    enc2 = load_encoder(first)
+    for field in dataclasses.fields(CompiledEncoder):
+        want, got = getattr(enc, field.name), getattr(enc2, field.name)
+        if field.name == "x" and want is not None:
+            assert np.array_equal(got, want)
+        elif field.name != "dlg":
+            assert got == want, field.name
+    save_encoder(enc2, second)
+    assert second.read_bytes() == first.read_bytes()
+    return enc2
+
+
 def test_encoder_round_trip_bitwise(tmp_path):
     problem, planned = compiled_setup()
-    enc = compile_encoder(problem, planned.gd_plan, planned.plan)
-    path = tmp_path / "enc.json"
-    save_encoder(enc, path)
-    enc2 = load_encoder(path)
-    s = NoiseStream(5)
-    draws = np.arange(8, dtype=np.uint64)
-    assert np.array_equal(
-        run_encoder(enc, problem.x, s, draws), run_encoder(enc2, problem.x, s, draws)
-    )
+    for amortized in (True, False):  # x None, and x baked into the stages
+        enc = compile_encoder(problem, planned.gd_plan, planned.plan, amortized=amortized)
+        enc2 = round_trip(enc, tmp_path)
+        assert (enc2.x is None) == amortized
+        s = NoiseStream(5)
+        draws = np.arange(8, dtype=np.uint64)
+        assert np.array_equal(
+            run_encoder(enc, problem.x, s, draws), run_encoder(enc2, problem.x, s, draws)
+        )
 
 
 @st.composite
@@ -229,17 +247,19 @@ def smooth_encoders(draw):
     nets_ = draw(st.lists(smooth_generators(d=d), min_size=1, max_size=3))
     picks = draw(st.lists(st.integers(0, len(nets_) - 1), min_size=1, max_size=6))
     variances = draw(st.lists(st.sampled_from([0.0, 0.01, 0.3]), min_size=len(picks), max_size=len(picks)))
+    amortized = draw(st.booleans())
+    x = None if amortized else np.array(draw(st.lists(st.floats(-2, 2), min_size=d, max_size=d)))
     return CompiledEncoder(
         dlg=DeepLatentGaussian([(nets_[i], v) for i, v in zip(picks, variances)]),
         gd_stage_count=0,
         langevin_stage_count=len(picks),
         step_variance=0.01,
         eta=0.1,
-        amortized=False,
-        carry_scale=DEFAULT_CARRY_SCALE,
+        amortized=amortized,
+        carry_scale=DEFAULT_CARRY_SCALE if amortized else 1.0,
         dim=d,
         init_radius=0.5,
-        x=np.zeros(d),
+        x=x,
     )
 
 
@@ -247,9 +267,7 @@ def smooth_encoders(draw):
 @given(enc=smooth_encoders(), seed=st.integers(0, 2**32 - 1))
 def test_encoder_round_trip_bitwise_on_random_smooth_stages(enc, seed):
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "enc.json"
-        save_encoder(enc, path)
-        enc2 = load_encoder(path)
+        enc2 = round_trip(enc, tmp)
     Z = np.random.default_rng(seed).normal(size=(7, enc.dim))
     assert len(enc2.dlg.stages) == len(enc.dlg.stages)
     for (net, var), (net2, var2) in zip(enc.dlg.stages, enc2.dlg.stages):

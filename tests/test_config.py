@@ -67,6 +67,11 @@ def test_constants_require_all_four():
     assert cfg.constants.M2 == 0.5
 
 
+def test_supplied_constants_are_not_estimated():
+    cfg = parse_config({**BASE, "constants": {"m": 1, "M": 2, "M2": 0.5, "M3": 1}})
+    assert cfg.constants.estimated is False
+
+
 def test_overrides_win():
     cfg = parse_config(
         {**BASE, "seed": 5, "out_dir": "a", "jobs": 2},

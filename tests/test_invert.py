@@ -2,7 +2,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from conftest import identity_problem, tanh_problem
-from latgauss.invert import gd_invert, invert_with_retries, make_gd_plan
+from latgauss.invert import gd_invert, make_gd_plan
 from latgauss.models import LatentGaussian
 from latgauss.nets import estimate_constants, random_residual_tanh_net
 from latgauss.potential import PosteriorProblem, region_radius
@@ -68,13 +68,6 @@ def test_delta_defaults_to_quarter_radius():
     prob = tanh_problem(d=2, x=[0.5, 0.5])
     plan = make_gd_plan(prob)
     assert plan.delta == region_radius(prob) / 4.0
-
-
-def test_invert_with_retries_plain_case():
-    prob = tanh_problem(d=1, x=[0.9])
-    trace, plan = invert_with_retries(prob)
-    assert trace.converged
-    assert plan.Q >= 1.0
 
 
 def test_trace_csv(tmp_path):

@@ -3,10 +3,9 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import TANH_CONSTANTS, identity_problem, scale_problem, tanh_problem
+from conftest import TANH_CONSTANTS, identity_problem, tanh_problem
 from latgauss.errors import DimensionError
 from latgauss.experiments import (
-    cir_comparison_experiment,
     compiled_vs_direct_experiment,
     exit_fraction_experiment,
     mixing_trend_experiment,
@@ -131,22 +130,6 @@ def test_mixing_trend_experiment_small_run():
     assert rep["tv"][-1] < rep["tv"][0]
     assert rep["times"][-1] == 1200 * planned.plan.h
     assert not planned.plan.projected  # the experiment projects a copy
-
-
-def test_cir_comparison_experiment():
-    # beta = 0.25 keeps h small; the sqrt(h) per-step budget assumes
-    # h kappa well under 1
-    rep = cir_comparison_experiment(
-        scale_problem(a=2.0, d=1, beta=0.25, x=[1.0]), NoiseStream(4), paths=64, steps=2000
-    )
-    assert rep["pass"]
-    assert rep["max_excess_increment"] <= rep["per_step_budget"]
-    assert rep["kappa"] == pytest.approx(1 + 4 / 0.0625)
-
-
-def test_cir_comparison_rejects_nonlinear():
-    with pytest.raises(DimensionError):
-        cir_comparison_experiment(tanh_problem(d=1), NoiseStream(1))
 
 
 def test_compiled_vs_direct_experiment():
