@@ -17,7 +17,10 @@ blocks of `sample`'s report are the experiments' own gates
 `--jobs` and the `jobs` config key are still accepted and validated for older
 invocations; all chains run as one vectorized batch, and the counter-based
 stream keys every word on the absolute chain index, so no split could change
-a sample.
+a sample. When the process may use a second CPU, a thread draws the Langevin
+and encoder noise of large batches ahead of the loop that consumes it
+(`rng.normal_rows`); `--jobs` changes nothing there either, and the samples
+are the same bit for bit.
 """
 
 from __future__ import annotations

@@ -162,10 +162,6 @@ def _smooth_or_raise(net: Network, what: str):
 # -- combinators ------------------------------------------------------------------
 
 
-def identity_chain(width: int, depth: int) -> Network:
-    return Network([Layer(np.eye(width), np.zeros(width), _ID_TAG) for _ in range(depth)], width)
-
-
 def pad_depth(net: Network, depth: int) -> Network:
     if net.depth > depth:
         raise ValueError("cannot pad to a smaller depth")

@@ -187,7 +187,7 @@ def parse_config(
         _check_keys(c, {"m", "M", "M2", "M3"}, "constants")
         for k in ("m", "M", "M2", "M3"):
             _require(k in c and isinstance(c[k], (int, float)), f"constants.{k} must be a number")
-        constants = MapConstants(m=c["m"], M=c["M"], M2=c["M2"], M3=c["M3"], estimated=False)
+        constants = MapConstants(m=c["m"], M=c["M"], M2=c["M2"], M3=c["M3"])
 
     constants_samples = raw.get("constants_samples", 4096)
     _require(

@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 import itertools
 import json
+from contextlib import closing
 from dataclasses import dataclass
 
 import numpy as np
@@ -104,13 +105,16 @@ def sample_dlg_batch(
     runs = itertools.groupby(model.stages, key=lambda stage: (stage[1], stage[0].output_dim))
     for (var, width), run in runs:
         nets = [net for net, _ in run]
-        if var > 0.0:
+        if var == 0.0:
+            for net in nets:
+                states = net.eval_batch(states)
+        else:
             noise = normal_rows(stream, first, len(nets), draws, width, scale=np.sqrt(var))
+            with closing(noise):
+                for net, row in zip(nets, noise):
+                    states = net.eval_batch(states)
+                    states += row
         first += len(nets)
-        for net in nets:
-            states = net.eval_batch(states)
-            if var > 0.0:
-                states += next(noise)
     return states
 
 

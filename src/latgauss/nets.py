@@ -481,7 +481,7 @@ class MapConstants:
     M: float
     M2: float
     M3: float
-    estimated: bool = True
+    estimated: bool = False  # True only from estimate_constants
     non_invertible: bool = False
 
     def __post_init__(self):

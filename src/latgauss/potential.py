@@ -71,12 +71,6 @@ class RegionD:
     radius_within_cap: bool
 
 
-def potential(problem: PosteriorProblem, z: np.ndarray) -> float:
-    z = np.asarray(z, dtype=np.float64)
-    r = problem.model.generator.eval(z) - problem.x
-    return 0.5 * (z @ z + (r @ r) / problem.beta**2)
-
-
 def potential_batch(problem: PosteriorProblem, Z: np.ndarray) -> np.ndarray:
     Z = np.asarray(Z, dtype=np.float64)
     R = problem.model.generator.eval_batch(Z) - problem.x

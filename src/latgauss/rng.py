@@ -30,13 +30,24 @@ element by element, and the per-stage calls run the same code with one
 stage. `normal_rows` walks such blocks of about 2^16 words one stage at a
 time; loops that draw noise at every stage (Langevin chains, the compiled
 encoder's stages, the CIR paths) use it to pay the per-call cost once per
-block instead of once per stage.
+block instead of once per stage. Since every word's counter is fixed in
+advance, the blocks do not depend on what the consumer does with them: when
+a request spans more than one block, each stage has at least 256 words (a
+block of at most 256 stages) and the process may run on more than one CPU,
+a producer thread draws them ahead of the consumer, at most two blocks
+queued or being drawn, while numpy and `ndtri` release the interpreter
+lock. Otherwise the blocks are drawn inline when they are needed. Either
+way the rows are the same bit for bit.
 
 SplitMix64 is the Steele-Lea-Flood mixer: add 0x9E3779B97F4A7C15, then
 xor-shift-multiply with the constants below.
 """
 
 from __future__ import annotations
+
+import os
+import queue
+import threading
 
 import numpy as np
 from scipy.special import ndtri
@@ -121,18 +132,80 @@ class NoiseStream:
 
 
 _BLOCK_WORDS = 1 << 16  # about this many noise words per normal_stages call
+_PREFETCH_BLOCKS = 2  # blocks queued or being drawn ahead of the consumer
+# Above 256 stages per block a stage has under 256 words, and the producer's
+# contention for the interpreter lock slowed the Langevin and encoder loops
+# by more than drawing inline costs them (run_chains and run_encoder at
+# d = 1, 2 and 4; at 256 words per stage and more the producer paid off).
+_PREFETCH_MAX_STAGES = 256
+
+
+def block_stages(draws: int, n: int) -> int:
+    """Stages per normal_rows block for draws x n words per stage."""
+    return max(1, _BLOCK_WORDS // max(1, draws * n))
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        return os.cpu_count() or 1
 
 
 def normal_rows(stream, stage: int, count: int, draws: np.ndarray, n: int, scale=1.0):
     """Yield scale * stream.normal_matrix(stage + k, draws, n) for k in
     range(count), bit for bit, drawn through normal_stages in blocks of
-    about _BLOCK_WORDS words and scaled once per block.
+    block_stages(len(draws), n) stages and scaled once per block.
+
+    When the request spans more than one block of at most
+    _PREFETCH_MAX_STAGES stages and the process may use more than one CPU
+    (os.sched_getaffinity), a daemon producer thread draws the blocks ahead,
+    at most _PREFETCH_BLOCKS of them queued or being drawn while the
+    consumer walks the current one. An exception raised while drawing
+    reaches the consumer at the block it belongs to. Closing the generator,
+    explicitly or by dropping it, stops and joins the producer. Otherwise
+    each block is drawn inline when it is reached.
     """
-    per_block = max(1, _BLOCK_WORDS // max(1, len(draws) * n))
-    for lo in range(0, count, per_block):
+    per_block = block_stages(len(draws), n)
+    starts = range(0, count, per_block)
+
+    def draw(lo):
         block = stream.normal_stages(stage + lo, min(per_block, count - lo), draws, n)
         block *= scale
-        yield from block
+        return block
+
+    if len(starts) < 2 or per_block > _PREFETCH_MAX_STAGES or _usable_cpus() < 2:
+        for lo in starts:
+            yield from draw(lo)
+        return
+
+    ready = queue.SimpleQueue()
+    slots = threading.Semaphore(_PREFETCH_BLOCKS)
+    stop = threading.Event()
+
+    def produce():
+        try:
+            for lo in starts:
+                slots.acquire()
+                if stop.is_set():
+                    return
+                ready.put(draw(lo))
+        except BaseException as exc:  # re-raised on the consumer's thread
+            ready.put(exc)
+
+    producer = threading.Thread(target=produce, name="latgauss-noise", daemon=True)
+    producer.start()
+    try:
+        for _ in starts:
+            block = ready.get()
+            slots.release()
+            if isinstance(block, BaseException):
+                raise block
+            yield from block
+    finally:
+        stop.set()
+        slots.release()
+        producer.join()
 
 
 def ball_points(stream, stage: int, draws: np.ndarray, dim: int, radius: float) -> np.ndarray:

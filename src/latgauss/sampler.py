@@ -29,6 +29,7 @@ the compiled encoder's stage positions so both consume identical noise words.
 
 from __future__ import annotations
 
+from contextlib import closing
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,7 +41,7 @@ from .errors import (
     PlanTooLarge,
 )
 from .potential import PosteriorProblem, RegionD, grad_potential_batch
-from .rng import ball_points, normal_rows
+from .rng import ball_points, block_stages, normal_rows
 
 STEP_CAP_DEFAULT = 10**7
 
@@ -175,46 +176,68 @@ def run_chains(
     indices to state arrays. Chain c draws its step-k noise at counter
     (stages.langevin_stage(k), draw=chains[c]); the noise for many steps is
     drawn and scaled by sqrt(2h) in one block (rng.normal_rows), bit for bit
-    the per-step draw, while the gradient check, exit record and snapshots
-    still run every step.
+    the per-step draw. The gradient check and the snapshots run every step.
+    The exit record does not: each state goes into a buffer of one noise
+    block, and the buffer's rows are tested against the region in one pass
+    when it fills, at the end, and before a NumericalBlowup is raised; a
+    chain has exited when any of its states, the start included, lay
+    outside the region.
     """
     Z = np.asarray(Z0, dtype=np.float64).copy()
     if chains is None:
         chains = np.arange(len(Z), dtype=np.uint64)
     want = {int(s) for s in snapshot_steps or ()}
-    snapshots = {}
+    snapshots = {0: Z.copy()} if 0 in want else {}
     center, radius = region.center, region.radius
     sqrt2h = np.sqrt(2.0 * plan.h)
     exited = np.zeros(len(Z), dtype=bool)
+    # states not yet tested for exit; the unprojected chain only
+    held = np.empty((0 if plan.projected else block_stages(len(Z), Z.shape[1]),) + Z.shape)
+    count = 0
 
-    def record(step):
-        if not plan.projected:
-            off = Z - center
-            exited[np.einsum("ij,ij->i", off, off) > radius**2] = True
-        if step in want:
-            snapshots[step] = Z.copy()
+    def flush():
+        off = held[:count]
+        off -= center
+        off = off.reshape(-1, Z.shape[1])
+        outside = np.einsum("ij,ij->i", off, off) > radius**2
+        exited[outside.reshape(count, len(Z)).any(axis=0)] = True
 
-    record(0)
+    def hold():
+        nonlocal count
+        held[count] = Z
+        count += 1
+        if count == len(held):
+            flush()
+            count = 0
+
+    if not plan.projected:
+        hold()
+    lone = len(Z) == 1
     noise_rows = normal_rows(
         stream, stages.langevin_stage(0), plan.steps, chains, Z.shape[1], scale=sqrt2h
     )
-    lone = len(Z) == 1
-    for k, noise in enumerate(noise_rows):
-        # numpy multiplies a lone row with other kernels than a batch, which
-        # round differently; doubling it keeps a chain equal to its batch row
-        grad = grad_potential_batch(problem, np.repeat(Z, 2, axis=0) if lone else Z)[: len(Z)]
-        if not np.isfinite(grad).all():
-            bad = int(np.argmax(~np.all(np.isfinite(grad), axis=1)))
-            raise NumericalBlowup(
-                "non-finite potential gradient during chain run",
-                step=k,
-                state=Z[bad].tolist(),
-            )
-        Z -= plan.h * grad
-        Z += noise
-        if plan.projected:
-            Z = project_ball(Z, center, radius)
-        record(k + 1)
+    with closing(noise_rows):  # stops a prefetching producer on any exit
+        for k, noise in enumerate(noise_rows):
+            # numpy multiplies a lone row with other kernels than a batch, which
+            # round differently; doubling it keeps a chain equal to its batch row
+            grad = grad_potential_batch(problem, np.repeat(Z, 2, axis=0) if lone else Z)[: len(Z)]
+            if not np.isfinite(grad).all():
+                flush()
+                bad = int(np.argmax(~np.all(np.isfinite(grad), axis=1)))
+                raise NumericalBlowup(
+                    "non-finite potential gradient during chain run",
+                    step=k,
+                    state=Z[bad].tolist(),
+                )
+            Z -= plan.h * grad
+            Z += noise
+            if plan.projected:
+                Z = project_ball(Z, center, radius)
+            else:
+                hold()
+            if k + 1 in want:
+                snapshots[k + 1] = Z.copy()
+    flush()
     return Z, exited, snapshots
 
 

@@ -38,7 +38,7 @@ from latgauss.potential import (
     diagnostics_report,
     grad_potential,
     hess_potential,
-    potential,
+    potential_batch,
     refine_inverse,
     region,
     taylor_remainder_check,
@@ -66,7 +66,7 @@ def fd_grad(problem, z, h=1e-5):
     for k in range(d):
         e = np.zeros(d)
         e[k] = h
-        g[k] = (potential(problem, z + e) - potential(problem, z - e)) / (2 * h)
+        g[k] = (potential_batch(problem, [z + e])[0] - potential_batch(problem, [z - e])[0]) / (2 * h)
     return g
 
 

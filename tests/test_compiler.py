@@ -15,7 +15,6 @@ from latgauss.compiler import (
     compile_encoder,
     derivative_network,
     equivalence_deviation,
-    identity_chain,
     jacobian_network,
     load_encoder,
     manifest,
@@ -45,10 +44,7 @@ def generator_cases():
     }
 
 
-def test_identity_chain_and_pad():
-    net = identity_chain(3, 4)
-    Z = rng.normal(size=(5, 3))
-    assert np.array_equal(net.eval_batch(Z), Z)
+def test_pad_depth():
     padded = pad_depth(nets.tanh_residual_net(2, 0.5), 6)
     assert padded.depth == 6
     Z2 = rng.normal(size=(4, 2))

@@ -11,8 +11,9 @@ from latgauss.experiments import (
     mixing_trend_experiment,
     posterior_tv_experiment,
 )
-from latgauss.nets import tanh_residual_net
+from latgauss.nets import MapConstants, tanh_residual_net
 from latgauss.pipeline import build_problem, plan_pipeline, plan_truncated, run_planned_chains
+from latgauss.potential import diagnostics_report, refine_inverse
 from latgauss.rng import NoiseStream
 
 
@@ -31,10 +32,19 @@ def test_build_problem_uses_supplied_constants():
     assert prob.dim == 2
 
 
+def test_hand_built_constants_are_not_estimated():
+    net = tanh_residual_net(1, 0.5)
+    constants = MapConstants(m=1.0, M=1.5, M2=0.385, M3=1.0)
+    prob = build_problem(net, 0.1, np.array([0.9]), constants=constants)
+    rep = diagnostics_report(prob, refine_inverse(prob, np.zeros(1)), points=8)
+    assert rep["constants"]["estimated"] is False
+
+
 def test_build_problem_estimates_constants():
     net = tanh_residual_net(1, 0.5)
     prob = build_problem(net, 0.1, np.array([0.9]), constants_samples=512)
     c = prob.constants
+    assert c.estimated is True
     assert 0.9 <= c.m <= 1.05
     assert 1.3 <= c.M <= 1.5 + 1e-9
     assert c.M2 <= 0.39

@@ -1,3 +1,7 @@
+import os
+import threading
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -127,3 +131,110 @@ def test_normal_rows_equal_scaled_per_stage_draws(monkeypatch, block_words):
     assert len(rows) == 30
     for k, row in enumerate(rows):
         assert np.array_equal(row, scale * s.normal_matrix(11 + k, draws, 2))
+
+
+def use_cpus(monkeypatch, cpus):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(cpus), raising=False)
+
+
+def new_threads(before):
+    return [t for t in threading.enumerate() if t not in before]
+
+
+@pytest.mark.parametrize(
+    "block_words, max_stages, prefetched",
+    [(6 * 2, 256, True), (7 * 6 * 2, 256, True), (7 * 6 * 2, 6, False), (10**9, 256, False)],
+)
+def test_prefetched_rows_equal_inline_rows(monkeypatch, block_words, max_stages, prefetched):
+    # one stage per block, ragged blocks of 7 stages, one block; a request
+    # of one block, or of blocks over max_stages, is drawn inline on any
+    # number of CPUs
+    monkeypatch.setattr(rng, "_BLOCK_WORDS", block_words)
+    monkeypatch.setattr(rng, "_PREFETCH_MAX_STAGES", max_stages)
+    s = NoiseStream(21)
+    draws = np.arange(6, dtype=np.uint64) * 5 + 2
+    use_cpus(monkeypatch, {0})
+    inline = list(normal_rows(s, 11, 30, draws, 2, scale=0.3))
+    use_cpus(monkeypatch, {0, 1})
+    before = threading.enumerate()
+    rows = normal_rows(s, 11, 30, draws, 2, scale=0.3)
+    threaded = [next(rows)]
+    assert len(new_threads(before)) == prefetched
+    threaded += list(rows)
+    assert len(threaded) == len(inline) == 30
+    for got, want in zip(threaded, inline):
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("how", ["close", "drop"])
+def test_stopped_consumer_leaves_no_producer(monkeypatch, how):
+    monkeypatch.setattr(rng, "_BLOCK_WORDS", 4)
+    use_cpus(monkeypatch, {0, 1})
+    before = threading.enumerate()
+    held = [normal_rows(NoiseStream(3), 0, 100, np.arange(2, dtype=np.uint64), 2)]
+    next(held[0])
+    (producer,) = new_threads(before)
+    time.sleep(0.05)  # the producer fills its slots and waits for one
+    # stopped from a daemon thread, so that a stop that hangs fails the test
+    stopper = threading.Thread(target=held[0].close if how == "close" else held.clear, daemon=True)
+    stopper.start()
+    stopper.join(timeout=1.0)
+    producer.join(timeout=1.0)
+    assert not stopper.is_alive() and not producer.is_alive()
+
+
+class Boom(Exception):
+    pass
+
+
+class FailingStream(NoiseStream):
+    """Raises from normal_stages at the third block of 7 stages."""
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.threads = set()
+
+    def normal_stages(self, stage, count, draws, n):
+        self.threads.add(threading.current_thread())
+        if stage >= 11 + 14:
+            raise Boom(stage)
+        return super().normal_stages(stage, count, draws, n)
+
+
+def test_producer_error_reaches_consumer(monkeypatch):
+    monkeypatch.setattr(rng, "_BLOCK_WORDS", 7 * 6 * 2)
+    use_cpus(monkeypatch, {0, 1})
+    stream = FailingStream(21)
+    draws = np.arange(6, dtype=np.uint64)
+    before = threading.enumerate()
+    got, raised = [], []
+
+    def consume():
+        try:
+            got.extend(normal_rows(stream, 11, 30, draws, 2))
+        except Boom as exc:
+            raised.append(exc)
+
+    consumer = threading.Thread(target=consume, daemon=True)
+    consumer.start()
+    consumer.join(timeout=10.0)
+    assert not consumer.is_alive()
+    assert [exc.args for exc in raised] == [(25,)]
+    assert len(got) == 14  # the two blocks drawn before the failing one
+    assert consumer not in stream.threads  # drawn on the producer thread
+    assert new_threads(before) == []
+
+
+def test_one_cpu_draws_inline(monkeypatch):
+    monkeypatch.setattr(rng, "_BLOCK_WORDS", 12)
+    use_cpus(monkeypatch, {0})
+
+    def no_thread(self):
+        raise AssertionError("a thread started on one CPU")
+
+    monkeypatch.setattr(threading.Thread, "start", no_thread)
+    s = NoiseStream(4)
+    draws = np.arange(6, dtype=np.uint64)
+    rows = list(normal_rows(s, 0, 9, draws, 2))
+    for k, row in enumerate(rows):
+        assert np.array_equal(row, s.normal_matrix(k, draws, 2))

@@ -199,23 +199,33 @@ def test_stage_numbering():
 
 
 def per_step_chains(prob, reg, plan, Z0, stream, stages, idx):
-    """run_chains written out with one normal_matrix draw per step."""
+    """run_chains written out with one normal_matrix draw and one exit test
+    per step; returns (finals, exited)."""
     Z = Z0.copy()
+    exited = np.zeros(len(Z), dtype=bool)
+
+    def record():
+        if not plan.projected:
+            off = Z - reg.center
+            exited[np.einsum("ij,ij->i", off, off) > reg.radius**2] = True
+
+    record()
     for k in range(plan.steps):
         Z -= plan.h * grad_potential_batch(prob, Z)
         Z += np.sqrt(2.0 * plan.h) * stream.normal_matrix(stages.langevin_stage(k), idx, Z.shape[1])
         if plan.projected:
             Z = project_ball(Z, reg.center, reg.radius)
-    return Z
+        record()
+    return Z, exited
 
 
 @pytest.mark.parametrize("projected", [False, True])
 def test_chains_do_not_depend_on_noise_block_size(monkeypatch, projected):
-    # a region of radius 0.1 against a diffusion of about 0.19 over the 60
-    # steps, so that chains exit or get clamped
+    # a region of radius 0.15 against a diffusion of about 0.19 over the 60
+    # steps, so that some chains exit or get clamped and others do not
     prob = tanh_problem(d=2, x=[0.6, -0.2])
     planned = prepared(prob)
-    reg = synthetic_region(planned.center, 0.1)
+    reg = synthetic_region(planned.center, 0.15)
     plan = truncated(make_sampler_plan(prob, planned), 60, projected)
     stages = PipelineStages(2, plan.steps)
     idx = np.arange(10, dtype=np.uint64) * 3 + 1
@@ -227,8 +237,11 @@ def test_chains_do_not_depend_on_noise_block_size(monkeypatch, projected):
         monkeypatch.setattr(rng, "_BLOCK_WORDS", block_words)
         runs.append(run_chains(prob, reg, plan, Z0, NoiseStream(5), stages, idx, want))
     finals, exited, snaps = runs[0]
-    assert np.array_equal(finals, per_step_chains(prob, reg, plan, Z0, NoiseStream(5), stages, idx))
+    want_finals, want_exited = per_step_chains(prob, reg, plan, Z0, NoiseStream(5), stages, idx)
+    assert np.array_equal(finals, want_finals)
+    assert np.array_equal(exited, want_exited)
     assert exited.any() != projected
+    assert not exited.all()
     for other_finals, other_exited, other_snaps in runs[1:]:
         assert np.array_equal(other_finals, finals)
         assert np.array_equal(other_exited, exited)
