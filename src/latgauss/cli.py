@@ -19,7 +19,7 @@ invocations; all chains run as one vectorized batch, and the counter-based
 stream keys every word on the absolute chain index, so no split could change
 a sample. When the process may use a second CPU, a thread draws the Langevin
 and encoder noise of large batches ahead of the loop that consumes it
-(`rng.normal_rows`); `--jobs` changes nothing there either, and the samples
+(`rng.normal_blocks`); `--jobs` changes nothing there either, and the samples
 are the same bit for bit.
 """
 
@@ -124,8 +124,8 @@ def _compile_plan(problem, cfg: RunConfig):
     """The compiled encoder's truncated plan, under the config's caps."""
     return plan_truncated(
         problem,
-        cfg.compile_opts.get("gd_steps", 10),
-        cfg.compile_opts.get("langevin_steps", 50),
+        cfg.compile_opts["gd_steps"],
+        cfg.compile_opts["langevin_steps"],
         gd_max_steps=cfg.max_gd_steps,
         step_cap=cfg.max_langevin_steps,
     )
@@ -210,7 +210,7 @@ def cmd_compile(cfg: RunConfig) -> int:
     problem = _problem_from_config(cfg)
     planned = _compile_plan(problem, cfg)
     encoder = compile_encoder(
-        problem, planned.gd_plan, planned.plan, amortized=cfg.compile_opts.get("amortized", True)
+        problem, planned.gd_plan, planned.plan, amortized=cfg.compile_opts["amortized"]
     )
 
     # Self-test gates the artifact: no encoder file unless the compiled network
@@ -274,7 +274,7 @@ _EXPERIMENTS = {
         problem,
         _compile_plan(problem, cfg),
         NoiseStream(cfg.seed + 15),
-        amortized=cfg.compile_opts.get("amortized", True),
+        amortized=cfg.compile_opts["amortized"],
     ),
 }
 
@@ -296,11 +296,6 @@ def cmd_verify(cfg: RunConfig) -> int:
     # chi2 below keeps trace.final: its subject is the actual chain start.
     zhat = refine_inverse(problem, trace.final)
     diag = diagnostics_report(problem, zhat, points=100, seed=cfg.seed)
-    diag["pass"] = bool(
-        diag["admissible"]
-        and diag["hessian_min_eigenvalue"] >= 1.0 - 1e-8
-        and diag["taylor_worst_ratio"] <= 1.0 + 1e-9
-    )
     report["diagnostics"] = diag
 
     if problem.dim == 1:
@@ -344,17 +339,8 @@ def cmd_verify(cfg: RunConfig) -> int:
 
 
 def cmd_lowerbound(cfg: RunConfig) -> int:
-    lb = cfg.lowerbound_opts
     report = _report_header(cfg, "lowerbound")
-    demo = demo_report(
-        d=lb.get("d", 8),
-        beta=lb.get("beta", 0.05),
-        rotation=lb.get("rotation", 3),
-        mask=lb.get("mask", 0b10110100),
-        trials=lb.get("trials", 200),
-        closeness_samples=lb.get("closeness_samples", 20_000),
-        seed=cfg.seed,
-    )
+    demo = demo_report(**cfg.lowerbound_opts, seed=cfg.seed)
     if not demo["beta_small_flag"]:
         demo["warning"] = "beta * sqrt(d) >= 0.1: smallness condition violated, results indicative only"
     report["demo"] = demo

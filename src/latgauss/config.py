@@ -21,13 +21,14 @@ Schema (JSON object):
     constants: { m, M, M2, M3: floats } # optional override; else estimated
     constants_samples: int             # default 4096
     caps: { max_gd_steps: int, max_langevin_steps: int }  # defaults 1e6 / 1e7
-    compile: { gd_steps: int, langevin_steps: int, amortized: bool }  # optional
+    compile: { gd_steps: int, langevin_steps: int, amortized: bool }  # defaults 10 / 50 / true
     chains: int                        # default 1000 (sample command)
     samples: int                       # default 10000 (TV report)
     jobs: int                          # accepted for older configs; chains run in one batch
     out_dir: str                       # default "out"
     experiments: [str, ...]            # verify command extras, default none
-    lowerbound: { d, beta, rotation, mask, trials, closeness_samples }  # optional
+    lowerbound: { d, beta, rotation, mask, trials, closeness_samples }  # optional, each >= 0
+                                       # and d, trials, closeness_samples >= 1
 """
 
 from __future__ import annotations
@@ -216,6 +217,7 @@ def parse_config(
             )
     if "amortized" in compile_opts:
         _require(isinstance(compile_opts["amortized"], bool), "compile.amortized must be a bool")
+    compile_opts = {"gd_steps": 10, "langevin_steps": 50, "amortized": True, **compile_opts}
 
     chains = raw.get("chains", 1000)
     _require(isinstance(chains, int) and chains >= 1, "chains must be a positive integer")
@@ -241,6 +243,13 @@ def parse_config(
     _check_keys(
         lb, {"d", "beta", "rotation", "mask", "trials", "closeness_samples"}, "lowerbound"
     )
+    for k, v in lb.items():  # d, trials and closeness_samples are counts
+        low = 1 if k in ("d", "trials", "closeness_samples") else 0
+        kind = "number" if k == "beta" else "integer"
+        _require(
+            isinstance(v, (int, float) if k == "beta" else int) and v >= low,
+            f"lowerbound.{k} must be a {kind} >= {low}",
+        )
 
     return RunConfig(
         generator_spec=gen,

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import DimensionError
 from .nets import Network
-from .rng import normal_rows
+from .rng import normal_blocks
 
 
 @dataclass
@@ -93,7 +93,7 @@ def sample_dlg_batch(
 
     Each run of consecutive stages with equal variance and width, such as
     the Langevin stages of a compiled encoder, draws its noise in blocks of
-    stages (rng.normal_rows), bit for bit the per-stage draws
+    stages (rng.normal_blocks), bit for bit the per-stage draws
     stream.normal(s, draw, width).
     """
     states = np.asarray(inputs, dtype=np.float64)
@@ -109,9 +109,9 @@ def sample_dlg_batch(
             for net in nets:
                 states = net.eval_batch(states)
         else:
-            noise = normal_rows(stream, first, len(nets), draws, width, scale=np.sqrt(var))
-            with closing(noise):
-                for net, row in zip(nets, noise):
+            blocks = normal_blocks(stream, first, len(nets), draws, width, scale=np.sqrt(var))
+            with closing(blocks):
+                for net, row in zip(nets, itertools.chain.from_iterable(blocks)):
                     states = net.eval_batch(states)
                     states += row
         first += len(nets)

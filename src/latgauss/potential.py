@@ -260,7 +260,9 @@ def diagnostics_report(
 ) -> dict:
     """JSON-ready report: region numbers, Hessian eigenvalue range, worst
     Taylor remainder ratio, all over `points` draws from the region around
-    zhat, which should be an exact stationary point (refine_inverse)."""
+    zhat, which should be an exact stationary point (refine_inverse). It
+    passes when the region is admissible, the Hessian's smallest eigenvalue
+    is at least 1 and the Taylor remainder within its bound, up to rounding."""
     from .rng import NoiseStream, ball_points
 
     reg = region(problem, zhat)
@@ -291,4 +293,5 @@ def diagnostics_report(
         "hessian_max_eigenvalue": max_eig,
         "taylor_worst_ratio": worst_ratio,
         "points": points,
+        "pass": bool(reg.admissible and min_eig >= 1.0 - 1e-8 and worst_ratio <= 1.0 + 1e-9),
     }

@@ -27,17 +27,16 @@ counters of `count` consecutive stages in one pass and returns shape
 (count, len(draws), n), whose entry [k] is `normal_matrix(stage + k, draws,
 n)` bit for bit: the uint64 chain, the 53-bit conversion and `ndtri` all act
 element by element, and the per-stage calls run the same code with one
-stage. `normal_rows` walks such blocks of about 2^16 words one stage at a
-time; loops that draw noise at every stage (Langevin chains, the compiled
-encoder's stages, the CIR paths) use it to pay the per-call cost once per
-block instead of once per stage. Since every word's counter is fixed in
-advance, the blocks do not depend on what the consumer does with them: when
-a request spans more than one block, each stage has at least 256 words (a
-block of at most 256 stages) and the process may run on more than one CPU,
-a producer thread draws them ahead of the consumer, at most two blocks
-queued or being drawn, while numpy and `ndtri` release the interpreter
-lock. Otherwise the blocks are drawn inline when they are needed. Either
-way the rows are the same bit for bit.
+stage. `normal_blocks` yields such blocks of about 2^16 words, scaled and
+newly allocated; loops that draw noise at every stage (Langevin chains, the
+compiled encoder's stages, the CIR paths) walk them to pay the per-call cost
+once per block instead of once per stage. Since every word's counter is
+fixed in advance, the blocks do not depend on what the consumer does with
+them: when a request spans more than one block, each stage has at least 256
+words (a block of at most 256 stages) and the process may run on more than
+one CPU, a one-worker thread pool draws up to two blocks ahead of the
+consumer while numpy and `ndtri` release the interpreter lock. Otherwise
+the blocks are drawn inline. Either way they are the same bit for bit.
 
 SplitMix64 is the Steele-Lea-Flood mixer: add 0x9E3779B97F4A7C15, then
 xor-shift-multiply with the constants below.
@@ -46,8 +45,8 @@ xor-shift-multiply with the constants below.
 from __future__ import annotations
 
 import os
-import queue
-import threading
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 from scipy.special import ndtri
@@ -132,17 +131,12 @@ class NoiseStream:
 
 
 _BLOCK_WORDS = 1 << 16  # about this many noise words per normal_stages call
-_PREFETCH_BLOCKS = 2  # blocks queued or being drawn ahead of the consumer
-# Above 256 stages per block a stage has under 256 words, and the producer's
+_PREFETCH_BLOCKS = 2  # blocks drawn ahead of the one the consumer holds
+# Above 256 stages per block a stage has under 256 words, and the worker's
 # contention for the interpreter lock slowed the Langevin and encoder loops
 # by more than drawing inline costs them (run_chains and run_encoder at
-# d = 1, 2 and 4; at 256 words per stage and more the producer paid off).
+# d = 1, 2 and 4; at 256 words per stage and more the worker paid off).
 _PREFETCH_MAX_STAGES = 256
-
-
-def block_stages(draws: int, n: int) -> int:
-    """Stages per normal_rows block for draws x n words per stage."""
-    return max(1, _BLOCK_WORDS // max(1, draws * n))
 
 
 def _usable_cpus() -> int:
@@ -152,21 +146,21 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def normal_rows(stream, stage: int, count: int, draws: np.ndarray, n: int, scale=1.0):
-    """Yield scale * stream.normal_matrix(stage + k, draws, n) for k in
-    range(count), bit for bit, drawn through normal_stages in blocks of
-    block_stages(len(draws), n) stages and scaled once per block.
+def normal_blocks(stream, stage: int, count: int, draws: np.ndarray, n: int, scale=1.0):
+    """Yield scale * stream.normal_stages(...) for stages stage..stage+count-1
+    in blocks of about _BLOCK_WORDS words: row j of the block that starts at
+    stage + lo is scale * stream.normal_matrix(stage + lo + j, draws, n) bit
+    for bit. Each block is a new array, which the consumer may overwrite.
 
     When the request spans more than one block of at most
     _PREFETCH_MAX_STAGES stages and the process may use more than one CPU
-    (os.sched_getaffinity), a daemon producer thread draws the blocks ahead,
-    at most _PREFETCH_BLOCKS of them queued or being drawn while the
-    consumer walks the current one. An exception raised while drawing
-    reaches the consumer at the block it belongs to. Closing the generator,
-    explicitly or by dropping it, stops and joins the producer. Otherwise
-    each block is drawn inline when it is reached.
+    (os.sched_getaffinity), a one-worker thread pool draws up to
+    _PREFETCH_BLOCKS blocks ahead; an exception raised there reaches the
+    consumer at the block it belongs to. Closing the generator, explicitly
+    or by dropping it, cancels the blocks not yet started and joins the
+    worker. Otherwise each block is drawn inline when it is reached.
     """
-    per_block = block_stages(len(draws), n)
+    per_block = max(1, _BLOCK_WORDS // max(1, len(draws) * n))
     starts = range(0, count, per_block)
 
     def draw(lo):
@@ -176,36 +170,20 @@ def normal_rows(stream, stage: int, count: int, draws: np.ndarray, n: int, scale
 
     if len(starts) < 2 or per_block > _PREFETCH_MAX_STAGES or _usable_cpus() < 2:
         for lo in starts:
-            yield from draw(lo)
+            yield draw(lo)
         return
 
-    ready = queue.SimpleQueue()
-    slots = threading.Semaphore(_PREFETCH_BLOCKS)
-    stop = threading.Event()
-
-    def produce():
-        try:
-            for lo in starts:
-                slots.acquire()
-                if stop.is_set():
-                    return
-                ready.put(draw(lo))
-        except BaseException as exc:  # re-raised on the consumer's thread
-            ready.put(exc)
-
-    producer = threading.Thread(target=produce, name="latgauss-noise", daemon=True)
-    producer.start()
+    pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="latgauss-noise")
     try:
-        for _ in starts:
-            block = ready.get()
-            slots.release()
-            if isinstance(block, BaseException):
-                raise block
-            yield from block
+        ahead = deque()
+        for lo in starts:
+            ahead.append(pool.submit(draw, lo))
+            if len(ahead) > _PREFETCH_BLOCKS:
+                yield ahead.popleft().result()
+        while ahead:
+            yield ahead.popleft().result()
     finally:
-        stop.set()
-        slots.release()
-        producer.join()
+        pool.shutdown(cancel_futures=True)
 
 
 def ball_points(stream, stage: int, draws: np.ndarray, dim: int, radius: float) -> np.ndarray:

@@ -29,6 +29,7 @@ the compiled encoder's stage positions so both consume identical noise words.
 
 from __future__ import annotations
 
+import itertools
 from contextlib import closing
 from dataclasses import dataclass
 
@@ -41,7 +42,7 @@ from .errors import (
     PlanTooLarge,
 )
 from .potential import PosteriorProblem, RegionD, grad_potential_batch
-from .rng import ball_points, block_stages, normal_rows
+from .rng import ball_points, normal_blocks
 
 STEP_CAP_DEFAULT = 10**7
 
@@ -175,13 +176,12 @@ def run_chains(
     Returns (finals, exited, snapshots) where snapshots maps requested step
     indices to state arrays. Chain c draws its step-k noise at counter
     (stages.langevin_stage(k), draw=chains[c]); the noise for many steps is
-    drawn and scaled by sqrt(2h) in one block (rng.normal_rows), bit for bit
+    drawn and scaled by sqrt(2h) in one block (rng.normal_blocks), bit for bit
     the per-step draw. The gradient check and the snapshots run every step.
-    The exit record does not: each state goes into a buffer of one noise
-    block, and the buffer's rows are tested against the region in one pass
-    when it fills, at the end, and before a NumericalBlowup is raised; a
-    chain has exited when any of its states, the start included, lay
-    outside the region.
+    The exit record does not: the state after each step goes into the noise
+    row that step spent, and at the block's end the whole block is tested
+    against the region in one pass; a chain has exited when any of its
+    states, the start included, lay outside the region.
     """
     Z = np.asarray(Z0, dtype=np.float64).copy()
     if chains is None:
@@ -191,53 +191,44 @@ def run_chains(
     center, radius = region.center, region.radius
     sqrt2h = np.sqrt(2.0 * plan.h)
     exited = np.zeros(len(Z), dtype=bool)
-    # states not yet tested for exit; the unprojected chain only
-    held = np.empty((0 if plan.projected else block_stages(len(Z), Z.shape[1]),) + Z.shape)
-    count = 0
 
-    def flush():
-        off = held[:count]
-        off -= center
-        off = off.reshape(-1, Z.shape[1])
+    def record_exits(states):  # shape (steps, chains, d), overwritten
+        states -= center
+        off = states.reshape(-1, Z.shape[1])
         outside = np.einsum("ij,ij->i", off, off) > radius**2
-        exited[outside.reshape(count, len(Z)).any(axis=0)] = True
-
-    def hold():
-        nonlocal count
-        held[count] = Z
-        count += 1
-        if count == len(held):
-            flush()
-            count = 0
+        exited[outside.reshape(len(states), len(Z)).any(axis=0)] = True
 
     if not plan.projected:
-        hold()
+        record_exits(Z[None].copy())
     lone = len(Z) == 1
-    noise_rows = normal_rows(
+    k = 0
+    blocks = normal_blocks(
         stream, stages.langevin_stage(0), plan.steps, chains, Z.shape[1], scale=sqrt2h
     )
-    with closing(noise_rows):  # stops a prefetching producer on any exit
-        for k, noise in enumerate(noise_rows):
-            # numpy multiplies a lone row with other kernels than a batch, which
-            # round differently; doubling it keeps a chain equal to its batch row
-            grad = grad_potential_batch(problem, np.repeat(Z, 2, axis=0) if lone else Z)[: len(Z)]
-            if not np.isfinite(grad).all():
-                flush()
-                bad = int(np.argmax(~np.all(np.isfinite(grad), axis=1)))
-                raise NumericalBlowup(
-                    "non-finite potential gradient during chain run",
-                    step=k,
-                    state=Z[bad].tolist(),
-                )
-            Z -= plan.h * grad
-            Z += noise
-            if plan.projected:
-                Z = project_ball(Z, center, radius)
-            else:
-                hold()
-            if k + 1 in want:
-                snapshots[k + 1] = Z.copy()
-    flush()
+    with closing(blocks):  # stops a prefetching worker on any exit
+        for block in blocks:
+            for j, noise in enumerate(block):
+                # numpy multiplies a lone row with other kernels than a batch, which
+                # round differently; doubling it keeps a chain equal to its batch row
+                grad = grad_potential_batch(problem, np.repeat(Z, 2, axis=0) if lone else Z)[: len(Z)]
+                if not np.isfinite(grad).all():
+                    bad = int(np.argmax(~np.all(np.isfinite(grad), axis=1)))
+                    raise NumericalBlowup(
+                        "non-finite potential gradient during chain run",
+                        step=k,
+                        state=Z[bad].tolist(),
+                    )
+                Z -= plan.h * grad
+                Z += noise
+                if plan.projected:
+                    Z = project_ball(Z, center, radius)
+                else:
+                    block[j] = Z
+                k += 1
+                if k in want:
+                    snapshots[k] = Z.copy()
+            if not plan.projected:
+                record_exits(block)
     return Z, exited, snapshots
 
 
@@ -274,9 +265,10 @@ def simulate_cir(
     out = np.empty((paths, steps + 1))
     out[:, 0] = np.sum(V * V, axis=1)
     draws = np.arange(paths, dtype=np.uint64)
-    for k, step_noise in enumerate(normal_rows(stream, stage, steps, draws, n_tilde, scale=sqrth)):
+    blocks = normal_blocks(stream, stage, steps, draws, n_tilde, scale=sqrth)
+    for k, step_noise in enumerate(itertools.chain.from_iterable(blocks), 1):
         V = decay * V + step_noise
-        out[:, k + 1] = np.sum(V * V, axis=1)
+        out[:, k] = np.sum(V * V, axis=1)
     return out
 
 

@@ -1,5 +1,7 @@
 import json
+import os
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -325,6 +327,41 @@ def test_lowerbound_report_and_cap(tmp_path, capsys):
     tail = capsys.readouterr().out.strip().splitlines()
     err = json.loads("\n".join(tail[tail.index("{"):]))
     assert err["error"] == "EnumerationCap"
+
+
+def test_lowerbound_values_are_config_errors(tmp_path, capsys):
+    cfgp = write_config(
+        tmp_path,
+        "c.json",
+        {"generator": {"builtin": "identity"}, "d": 1, "beta": 0.1, "lowerbound": {"trials": 0}},
+    )
+    assert run(["lowerbound", "--config", cfgp, "--out", str(tmp_path / "out")]) == 1
+    err = json.loads(capsys.readouterr().out)
+    assert err["error"] == "ConfigError"
+    assert "lowerbound.trials" in err["message"]
+
+
+def test_sample_leaves_no_noise_worker(tmp_path, monkeypatch):
+    # 256 chains at d = 1 make noise blocks of 256 stages, and the plan's
+    # 1045 steps span five of them, so that on two CPUs a worker draws them
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    drawn_on = set()
+    normal_stages = NoiseStream.normal_stages
+
+    def spy(self, *args):
+        drawn_on.add(threading.current_thread().name)
+        return normal_stages(self, *args)
+
+    monkeypatch.setattr(NoiseStream, "normal_stages", spy)
+    cfgp = write_config(
+        tmp_path,
+        "c.json",
+        {"generator": {"builtin": "identity"}, "d": 1, "beta": 0.1, "epsilon": 0.5,
+         "x": [0.3], "constants": IDENTITY_CONSTANTS, "samples": 256},
+    )
+    assert run(["sample", "--config", cfgp, "--out", str(tmp_path / "out")]) == 0
+    assert any(name.startswith("latgauss-noise") for name in drawn_on)
+    assert not [t for t in threading.enumerate() if t.name.startswith("latgauss-noise")]
 
 
 def test_seed_override_changes_hash_context(tmp_path):

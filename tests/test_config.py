@@ -21,6 +21,15 @@ def test_minimal_config_defaults():
     assert cfg.chains == 1000 and cfg.samples == 10_000
     assert cfg.out_dir == "out"
     assert cfg.experiments == [] and cfg.lowerbound_opts == {}
+    assert cfg.compile_opts == {"gd_steps": 10, "langevin_steps": 50, "amortized": True}
+
+
+def test_compile_defaults_leave_raw_config_unchanged():
+    # the report's config hash is taken over cfg.raw
+    raw = {**BASE, "compile": {"langevin_steps": 7}}
+    cfg = parse_config(raw)
+    assert cfg.compile_opts == {"gd_steps": 10, "langevin_steps": 7, "amortized": True}
+    assert cfg.raw["compile"] == {"langevin_steps": 7}
 
 
 @pytest.mark.parametrize("missing", ["generator", "d", "beta"])
@@ -48,6 +57,23 @@ def test_unknown_key_rejected_at_each_level():
 def test_epsilon_range(epsilon):
     with pytest.raises(ConfigError, match="epsilon"):
         parse_config({**BASE, "epsilon": epsilon})
+
+
+@pytest.mark.parametrize(
+    "lowerbound, field",
+    [
+        ({"trials": 0}, "trials"),
+        ({"d": "8"}, "d"),
+        ({"d": 0}, "d"),
+        ({"closeness_samples": 0}, "closeness_samples"),
+        ({"beta": -0.1}, "beta"),
+        ({"rotation": -1}, "rotation"),
+        ({"mask": "180"}, "mask"),
+    ],
+)
+def test_lowerbound_values_checked(lowerbound, field):
+    with pytest.raises(ConfigError, match=f"lowerbound.{field} "):
+        parse_config({**BASE, "lowerbound": lowerbound})
 
 
 def test_beta_must_be_positive():

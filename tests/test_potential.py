@@ -132,3 +132,4 @@ def test_diagnostics_report_keys_and_convexity():
     assert rep["hessian_min_eigenvalue"] >= 1.0 - 1e-8
     assert rep["taylor_worst_ratio"] <= 1.0
     assert rep["region_radius"] > 0
+    assert rep["pass"]

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latgauss import rng
-from latgauss.rng import NoiseStream, ZeroStream, ball_points, normal_rows
+from latgauss.rng import NoiseStream, ZeroStream, ball_points, normal_blocks
 
 WORD = st.integers(0, 2**64 - 1)
 
@@ -120,21 +120,36 @@ def test_zero_stream_block_draw():
     assert not z.any()
 
 
+def use_cpus(monkeypatch, cpus):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(cpus), raising=False)
+
+
+def rows_of(blocks):
+    return [row for block in blocks for row in block]
+
+
 @pytest.mark.parametrize("block_words", [1, 7 * 6 * 2 - 1, 7 * 6 * 2, 10**9])
 def test_normal_rows_equal_scaled_per_stage_draws(monkeypatch, block_words):
-    # block sizes of one stage, ragged blocks of 6 and 7 stages, and one block
+    # block sizes of one stage, ragged blocks of 6 and 7 stages, and one
+    # block; drawn inline on one CPU and by the worker on two
     monkeypatch.setattr(rng, "_BLOCK_WORDS", block_words)
     s = NoiseStream(21)
     draws = np.arange(6, dtype=np.uint64) * 5 + 2
     scale = np.sqrt(2.0 * 3e-4)
-    rows = list(normal_rows(s, 11, 30, draws, 2, scale=scale))
-    assert len(rows) == 30
-    for k, row in enumerate(rows):
-        assert np.array_equal(row, scale * s.normal_matrix(11 + k, draws, 2))
-
-
-def use_cpus(monkeypatch, cpus):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(cpus), raising=False)
+    for cpus in ({0}, {0, 1}):
+        use_cpus(monkeypatch, cpus)
+        k, seen = 0, []
+        for block in normal_blocks(s, 11, 30, draws, 2, scale=scale):
+            # each block is a new writable array, and overwriting it leaves
+            # the blocks still to come unchanged
+            assert block.flags.writeable
+            assert not any(np.shares_memory(block, other) for other in seen)
+            for row in block:
+                assert np.array_equal(row, scale * s.normal_matrix(11 + k, draws, 2))
+                k += 1
+            block[...] = np.nan
+            seen.append(block)
+        assert k == 30
 
 
 def new_threads(before):
@@ -154,13 +169,13 @@ def test_prefetched_rows_equal_inline_rows(monkeypatch, block_words, max_stages,
     s = NoiseStream(21)
     draws = np.arange(6, dtype=np.uint64) * 5 + 2
     use_cpus(monkeypatch, {0})
-    inline = list(normal_rows(s, 11, 30, draws, 2, scale=0.3))
+    inline = rows_of(normal_blocks(s, 11, 30, draws, 2, scale=0.3))
     use_cpus(monkeypatch, {0, 1})
     before = threading.enumerate()
-    rows = normal_rows(s, 11, 30, draws, 2, scale=0.3)
-    threaded = [next(rows)]
+    blocks = normal_blocks(s, 11, 30, draws, 2, scale=0.3)
+    threaded = list(next(blocks))
     assert len(new_threads(before)) == prefetched
-    threaded += list(rows)
+    threaded += rows_of(blocks)
     assert len(threaded) == len(inline) == 30
     for got, want in zip(threaded, inline):
         assert np.array_equal(got, want)
@@ -171,10 +186,10 @@ def test_stopped_consumer_leaves_no_producer(monkeypatch, how):
     monkeypatch.setattr(rng, "_BLOCK_WORDS", 4)
     use_cpus(monkeypatch, {0, 1})
     before = threading.enumerate()
-    held = [normal_rows(NoiseStream(3), 0, 100, np.arange(2, dtype=np.uint64), 2)]
+    held = [normal_blocks(NoiseStream(3), 0, 100, np.arange(2, dtype=np.uint64), 2)]
     next(held[0])
     (producer,) = new_threads(before)
-    time.sleep(0.05)  # the producer fills its slots and waits for one
+    time.sleep(0.05)  # the worker draws the blocks submitted ahead and idles
     # stopped from a daemon thread, so that a stop that hangs fails the test
     stopper = threading.Thread(target=held[0].close if how == "close" else held.clear, daemon=True)
     stopper.start()
@@ -211,7 +226,7 @@ def test_producer_error_reaches_consumer(monkeypatch):
 
     def consume():
         try:
-            got.extend(normal_rows(stream, 11, 30, draws, 2))
+            got.extend(row for block in normal_blocks(stream, 11, 30, draws, 2) for row in block)
         except Boom as exc:
             raised.append(exc)
 
@@ -221,7 +236,7 @@ def test_producer_error_reaches_consumer(monkeypatch):
     assert not consumer.is_alive()
     assert [exc.args for exc in raised] == [(25,)]
     assert len(got) == 14  # the two blocks drawn before the failing one
-    assert consumer not in stream.threads  # drawn on the producer thread
+    assert consumer not in stream.threads  # drawn on the worker thread
     assert new_threads(before) == []
 
 
@@ -235,6 +250,6 @@ def test_one_cpu_draws_inline(monkeypatch):
     monkeypatch.setattr(threading.Thread, "start", no_thread)
     s = NoiseStream(4)
     draws = np.arange(6, dtype=np.uint64)
-    rows = list(normal_rows(s, 0, 9, draws, 2))
+    rows = rows_of(normal_blocks(s, 0, 9, draws, 2))
     for k, row in enumerate(rows):
         assert np.array_equal(row, s.normal_matrix(k, draws, 2))
