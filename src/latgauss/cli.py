@@ -11,9 +11,11 @@ nonzero exit code.
 (`pipeline.plan_pipeline`, or `plan_truncated` for the compiled encoder) and
 pass that plan to everything that runs chains: `run_planned_chains`, the
 experiments and the compile self-test. `verify` runs the experiments the
-config names, from `compiled`, `exit`, `mixing` and `tv`. The exit and TV
-blocks of `sample`'s report are the experiments' own gates
-(`experiments.exit_gate` and `tv_gate`), so each threshold has one owner.
+config names, from `compiled`, `exit`, `mixing` and `tv`. Every pass flag
+in a report comes from the function that owns its threshold: `sample`'s
+exit and TV blocks are the experiments' own gates (`experiments.exit_gate`
+and `tv_gate`), `compile`'s self-test is `compiler.equivalence_gate`, and
+`verify`'s chi-square block is `verify.chi2_initialization`'s.
 `--jobs` and the `jobs` config key are still accepted and validated for older
 invocations; all chains run as one vectorized batch, and the counter-based
 stream keys every word on the absolute chain index, so no split could change
@@ -36,9 +38,9 @@ from importlib import metadata
 import numpy as np
 
 from .compiler import (
-    EQUIVALENCE_TOLERANCE,
     compile_encoder,
     equivalence_deviation,
+    equivalence_gate,
     load_encoder,
     manifest,
     run_encoder,
@@ -55,7 +57,7 @@ from .experiments import (
     tv_gate,
 )
 from .invert import gd_invert, make_gd_plan
-from .lowerbound import demo_report
+from .lowerbound import SMALL_BETA_GATE, demo_report
 from .models import write_samples_csv
 from .nets import as_linear
 from .pipeline import build_problem, plan_pipeline, plan_truncated, run_planned_chains
@@ -220,12 +222,9 @@ def cmd_compile(cfg: RunConfig) -> int:
     deviation, compiled = equivalence_deviation(
         problem, planned, encoder, NoiseStream(stream_seed), draws=draws
     )
-    if deviation > EQUIVALENCE_TOLERANCE:
-        raise VerificationError(
-            "compiled encoder disagrees with the direct pipeline",
-            max_relative_deviation=float(deviation),
-            tolerance=EQUIVALENCE_TOLERANCE,
-        )
+    gate = equivalence_gate(deviation, draws)
+    if not gate["pass"]:
+        raise VerificationError("compiled encoder disagrees with the direct pipeline", **gate)
 
     os.makedirs(cfg.out_dir, exist_ok=True)
     encoder_path = os.path.join(cfg.out_dir, "encoder.json")
@@ -243,13 +242,7 @@ def cmd_compile(cfg: RunConfig) -> int:
         {
             "manifest": manifest(encoder, problem.model.generator),
             "encoder_json": encoder_path,
-            "self_test": {
-                "draws": draws,
-                "max_relative_deviation": float(deviation),
-                "tolerance": EQUIVALENCE_TOLERANCE,
-                "pass": True,
-                "round_trip_identical": round_trip_ok,
-            },
+            "self_test": {**gate, "round_trip_identical": round_trip_ok},
         }
     )
     path = _write_report(cfg, "compile_report.json", report)
@@ -299,12 +292,7 @@ def cmd_verify(cfg: RunConfig) -> int:
     report["diagnostics"] = diag
 
     if problem.dim == 1:
-        log_sqrt_chi2, bound = chi2_initialization(problem, reg, trace.final)
-        report["chi2"] = {
-            "log_sqrt_chi2": log_sqrt_chi2,
-            "bound": bound,
-            "pass": bool(log_sqrt_chi2 <= bound),
-        }
+        report["chi2"] = chi2_initialization(problem, reg, trace.final)
 
     linear = as_linear(problem.model.generator)
     if linear is not None and problem.dim <= 4:
@@ -342,7 +330,10 @@ def cmd_lowerbound(cfg: RunConfig) -> int:
     report = _report_header(cfg, "lowerbound")
     demo = demo_report(**cfg.lowerbound_opts, seed=cfg.seed)
     if not demo["beta_small_flag"]:
-        demo["warning"] = "beta * sqrt(d) >= 0.1: smallness condition violated, results indicative only"
+        demo["warning"] = (
+            f"beta * sqrt(d) >= {SMALL_BETA_GATE}: smallness condition violated, "
+            "results indicative only"
+        )
     report["demo"] = demo
     path = _write_report(cfg, "lowerbound_report.json", report)
     print(f"lowerbound: d={demo['d']} beta_small={demo['beta_small_flag']} report={path}")

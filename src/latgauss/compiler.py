@@ -56,6 +56,7 @@ from .nets import (
     ELEMENTWISE_ACTIVATIONS,
     Layer,
     Network,
+    linear_net,
 )
 from .invert import GdPlan
 from .pipeline import PipelinePlan, run_planned_chains
@@ -478,12 +479,6 @@ class CompiledEncoder:
 _METADATA = tuple(f.name for f in fields(CompiledEncoder) if f.name not in ("dlg", "x"))
 
 
-def _linear_stage(blocks) -> Network:
-    """One identity-activation layer whose weight is the block layout."""
-    W = np.block(blocks)
-    return Network([Layer(W, np.zeros(W.shape[0]), _ID_TAG)], W.shape[1])
-
-
 def compile_encoder(
     problem: PosteriorProblem,
     gd_plan: GdPlan,
@@ -498,14 +493,14 @@ def compile_encoder(
     lam = carry_scale if amortized else 1.0
     E, Z = np.eye(d), np.zeros((d, d))
     if amortized:  # input (z0, x, n) -> (0, lam*x, n) -> (z + n, lam*x) -> z
-        zero = _linear_stage([[Z, Z, Z], [Z, lam * E, Z], [Z, Z, E]])
-        init = _linear_stage([[E, Z, E], [Z, E, Z]])
-        out = _linear_stage([[E, Z]])
+        zero = linear_net(np.block([[Z, Z, Z], [Z, lam * E, Z], [Z, Z, E]]))
+        init = linear_net(np.block([[E, Z, E], [Z, E, Z]]))
+        out = linear_net(np.block([[E, Z]]))
         x_wire = {"x_scale": lam}
     else:  # input (z0, n) -> (0, n) -> z + n -> z, with x in the step biases
-        zero = _linear_stage([[Z, Z], [Z, E]])
-        init = _linear_stage([[E, E]])
-        out = _linear_stage([[E]])
+        zero = linear_net(np.block([[Z, Z], [Z, E]]))
+        init = linear_net(np.block([[E, E]]))
+        out = linear_net(np.block([[E]]))
         x_wire = {"x_const": problem.x}
     gd_step = step_network(g, 1.0, -gd_plan.eta, extra_carry=d, **x_wire)
     lan_step = step_network(g, 1.0 - h, -h / problem.beta**2, **x_wire)
@@ -620,6 +615,17 @@ def manifest(encoder: CompiledEncoder, generator: Network) -> dict:
 
 
 EQUIVALENCE_TOLERANCE = 1e-6  # max relative deviation the equivalence gate allows
+
+
+def equivalence_gate(deviation: float, draws: int) -> dict:
+    """Equivalence gate over `draws` shared-noise samples: the max relative
+    deviation (equivalence_deviation) is held to EQUIVALENCE_TOLERANCE."""
+    return {
+        "draws": int(draws),
+        "max_relative_deviation": float(deviation),
+        "tolerance": EQUIVALENCE_TOLERANCE,
+        "pass": bool(deviation <= EQUIVALENCE_TOLERANCE),
+    }
 
 
 def equivalence_deviation(

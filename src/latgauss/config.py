@@ -1,8 +1,12 @@
 """Run configuration: a strict JSON schema shared by every CLI subcommand.
 
 Unknown keys are rejected at every nesting level with the offending field
-named, so a typo cannot silently fall back to a default. All randomness is
-seeded from the config; nothing reads entropy implicitly.
+named, so a typo cannot silently fall back to a default; each builtin
+generator accepts only its own parameters. An int below is a JSON integer
+and never a boolean; a float is any finite JSON number (not a boolean, NaN
+or an infinity). A generator file that cannot be read or parsed as a smooth
+network is a ConfigError naming the path. All randomness is seeded from the
+config; nothing reads entropy implicitly.
 
 Schema (JSON object):
 
@@ -34,11 +38,13 @@ Schema (JSON object):
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, DimensionError
+from .invert import GD_STEP_CAP_DEFAULT
 from .nets import (
     MapConstants,
     Network,
@@ -47,13 +53,35 @@ from .nets import (
     scale_net,
     tanh_residual_net,
 )
+from .sampler import STEP_CAP_DEFAULT
 
-_BUILTINS = ("identity", "scale", "tanh-residual", "random-residual")
+# the parameter keys each builtin generator accepts
+_BUILTIN_PARAMS = {
+    "identity": (),
+    "scale": ("scale",),
+    "tanh-residual": ("alpha",),
+    "random-residual": ("alpha", "seed"),
+}
 
 
 def _require(cond: bool, message: str, **payload):
     if not cond:
         raise ConfigError(message, **payload)
+
+
+def _is_int(value) -> bool:
+    """A JSON integer; true and false are not integers here."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    """A finite JSON number; booleans, NaN and infinities are not numbers here."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer beyond the float range
+        return False
 
 
 def _check_keys(obj: dict, allowed: set, where: str):
@@ -84,8 +112,21 @@ class RunConfig:
     def build_generator(self) -> Network:
         spec = self.generator_spec
         if "path" in spec:
-            with open(spec["path"]) as fh:
-                return Network.from_json(fh.read())
+            path = spec["path"]
+            try:
+                with open(path) as fh:
+                    net = Network.from_json(fh.read())
+            except (OSError, ValueError, KeyError, TypeError, AttributeError, DimensionError) as exc:
+                raise ConfigError(
+                    f"generator.path {path!r} is not a readable network file: {exc}", path=path
+                ) from exc
+            _require(
+                net.smooth,
+                f"generator.path {path!r} holds a network with sign activations; "
+                "a generator must use smooth activations only",
+                path=path,
+            )
+            return net
         name = spec["builtin"]
         if name == "identity":
             return identity_net(self.d)
@@ -149,35 +190,41 @@ def parse_config(
         _check_keys(gen, {"path"}, "generator")
         _require(isinstance(gen["path"], str), "generator.path must be a string")
     else:
-        _check_keys(gen, {"builtin", "scale", "alpha", "seed"}, "generator")
         _require("builtin" in gen, "generator needs either builtin or path")
+        name = gen["builtin"]
         _require(
-            gen["builtin"] in _BUILTINS,
-            f"generator.builtin must be one of {_BUILTINS}",
+            isinstance(name, str) and name in _BUILTIN_PARAMS,
+            f"generator.builtin must be one of {tuple(_BUILTIN_PARAMS)}",
         )
+        _check_keys(gen, {"builtin", *_BUILTIN_PARAMS[name]}, f"generator (builtin {name!r})")
+        for k in ("scale", "alpha"):
+            if k in gen:
+                _require(_is_number(gen[k]), f"generator.{k} must be a finite number")
+        if "seed" in gen:
+            _require(_is_int(gen["seed"]), "generator.seed must be an integer")
 
     _require("d" in raw, "missing required field: d")
     d = raw["d"]
-    _require(isinstance(d, int) and d >= 1, "d must be a positive integer")
+    _require(_is_int(d) and d >= 1, "d must be a positive integer")
 
     _require("beta" in raw, "missing required field: beta")
     beta = raw["beta"]
-    _require(isinstance(beta, (int, float)) and beta > 0, "beta must be > 0")
+    _require(_is_number(beta) and beta > 0, "beta must be a finite number > 0")
 
     epsilon = raw.get("epsilon", 0.1)
     _require(
-        isinstance(epsilon, (int, float)) and 0 < epsilon < 1,
+        _is_number(epsilon) and 0 < epsilon < 1,
         "epsilon must lie in (0, 1)",
     )
 
     x = raw.get("x", [0.9] * d)
     _require(
-        isinstance(x, list) and len(x) == d and all(isinstance(v, (int, float)) for v in x),
-        f"x must be a list of {d} numbers",
+        isinstance(x, list) and len(x) == d and all(_is_number(v) for v in x),
+        f"x must be a list of {d} finite numbers",
     )
 
     seed = raw.get("seed", 0)
-    _require(isinstance(seed, int), "seed must be an integer")
+    _require(_is_int(seed), "seed must be an integer")
     if seed_override is not None:
         seed = seed_override
 
@@ -187,24 +234,22 @@ def parse_config(
         _require(isinstance(c, dict), "constants must be an object")
         _check_keys(c, {"m", "M", "M2", "M3"}, "constants")
         for k in ("m", "M", "M2", "M3"):
-            _require(k in c and isinstance(c[k], (int, float)), f"constants.{k} must be a number")
+            _require(k in c and _is_number(c[k]), f"constants.{k} must be a finite number")
         constants = MapConstants(m=c["m"], M=c["M"], M2=c["M2"], M3=c["M3"])
 
     constants_samples = raw.get("constants_samples", 4096)
     _require(
-        isinstance(constants_samples, int) and constants_samples >= 16,
+        _is_int(constants_samples) and constants_samples >= 16,
         "constants_samples must be an integer >= 16",
     )
 
     caps = raw.get("caps", {})
     _require(isinstance(caps, dict), "caps must be an object")
     _check_keys(caps, {"max_gd_steps", "max_langevin_steps"}, "caps")
-    max_gd = caps.get("max_gd_steps", 10**6)
-    max_lan = caps.get("max_langevin_steps", 10**7)
-    _require(isinstance(max_gd, int) and max_gd > 0, "caps.max_gd_steps must be positive")
-    _require(
-        isinstance(max_lan, int) and max_lan > 0, "caps.max_langevin_steps must be positive"
-    )
+    max_gd = caps.get("max_gd_steps", GD_STEP_CAP_DEFAULT)
+    max_lan = caps.get("max_langevin_steps", STEP_CAP_DEFAULT)
+    _require(_is_int(max_gd) and max_gd > 0, "caps.max_gd_steps must be positive")
+    _require(_is_int(max_lan) and max_lan > 0, "caps.max_langevin_steps must be positive")
 
     compile_opts = raw.get("compile", {})
     _require(isinstance(compile_opts, dict), "compile must be an object")
@@ -212,7 +257,7 @@ def parse_config(
     for k in ("gd_steps", "langevin_steps"):
         if k in compile_opts:
             _require(
-                isinstance(compile_opts[k], int) and compile_opts[k] >= 0,
+                _is_int(compile_opts[k]) and compile_opts[k] >= 0,
                 f"compile.{k} must be a nonnegative integer",
             )
     if "amortized" in compile_opts:
@@ -220,12 +265,12 @@ def parse_config(
     compile_opts = {"gd_steps": 10, "langevin_steps": 50, "amortized": True, **compile_opts}
 
     chains = raw.get("chains", 1000)
-    _require(isinstance(chains, int) and chains >= 1, "chains must be a positive integer")
+    _require(_is_int(chains) and chains >= 1, "chains must be a positive integer")
     samples = raw.get("samples", 10_000)
-    _require(isinstance(samples, int) and samples >= 1, "samples must be a positive integer")
+    _require(_is_int(samples) and samples >= 1, "samples must be a positive integer")
 
     jobs = raw.get("jobs", 1)
-    _require(isinstance(jobs, int) and jobs >= 1, "jobs must be a positive integer")
+    _require(_is_int(jobs) and jobs >= 1, "jobs must be a positive integer")
 
     out_dir = raw.get("out_dir", "out")
     _require(isinstance(out_dir, str) and out_dir, "out_dir must be a nonempty string")
@@ -245,11 +290,8 @@ def parse_config(
     )
     for k, v in lb.items():  # d, trials and closeness_samples are counts
         low = 1 if k in ("d", "trials", "closeness_samples") else 0
-        kind = "number" if k == "beta" else "integer"
-        _require(
-            isinstance(v, (int, float) if k == "beta" else int) and v >= low,
-            f"lowerbound.{k} must be a {kind} >= {low}",
-        )
+        kind, valid = ("finite number", _is_number) if k == "beta" else ("integer", _is_int)
+        _require(valid(v) and v >= low, f"lowerbound.{k} must be a {kind} >= {low}")
 
     return RunConfig(
         generator_spec=gen,

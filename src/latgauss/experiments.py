@@ -152,18 +152,9 @@ def compiled_vs_direct_experiment(
     amortized: bool = True,
 ) -> dict:
     """Compile a truncated plan (pipeline.plan_truncated) and report the
-    shared-noise deviation."""
-    from .compiler import EQUIVALENCE_TOLERANCE, compile_encoder, equivalence_deviation, manifest
+    shared-noise deviation, held to compiler.equivalence_gate."""
+    from .compiler import compile_encoder, equivalence_deviation, equivalence_gate, manifest
 
     encoder = compile_encoder(problem, planned.gd_plan, planned.plan, amortized=amortized)
     deviation, _ = equivalence_deviation(problem, planned, encoder, stream, draws=draws)
-    report = manifest(encoder, problem.model.generator)
-    report.update(
-        {
-            "draws": int(draws),
-            "max_relative_deviation": float(deviation),
-            "tolerance": EQUIVALENCE_TOLERANCE,
-            "pass": bool(deviation <= EQUIVALENCE_TOLERANCE),
-        }
-    )
-    return report
+    return {**manifest(encoder, problem.model.generator), **equivalence_gate(deviation, draws)}

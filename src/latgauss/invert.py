@@ -29,6 +29,9 @@ from .errors import DescentViolation, NumericalBlowup
 from .potential import PosteriorProblem, region_radius
 
 
+GD_STEP_CAP_DEFAULT = 10**6  # descent steps a plan may take unless a caller sets the cap
+
+
 @dataclass
 class GdPlan:
     eta: float
@@ -57,7 +60,7 @@ class GdTrace:
 
 
 def make_gd_plan(
-    problem: PosteriorProblem, delta: float | None = None, max_steps: int = 10**6
+    problem: PosteriorProblem, delta: float | None = None, max_steps: int = GD_STEP_CAP_DEFAULT
 ) -> GdPlan:
     """Plan from the curvature formula; delta defaults to a quarter region radius."""
     c = problem.constants
@@ -93,8 +96,7 @@ def gd_invert(
     objectives = np.empty(plan.steps + 1)
     grad_norms = np.empty(plan.steps + 1)
 
-    value = g.eval(z)
-    r = value - x
+    r = g.eval_batch(z[None, :])[0] - x
     obj = 0.5 * float(r @ r)
     steps_run = 0
     for s in range(plan.steps):
@@ -107,7 +109,7 @@ def gd_invert(
         z_next = z - plan.eta * grad
         if not np.all(np.isfinite(z_next)):
             raise NumericalBlowup("non-finite descent iterate", step=s, state=z.tolist())
-        r_next = g.eval(z_next) - x
+        r_next = g.eval_batch(z_next[None, :])[0] - x
         obj_next = 0.5 * float(r_next @ r_next)
         if obj_next > obj - gn**2 / (2.0 * plan.Q) + 1e-12 * max(1.0, obj):
             raise DescentViolation(

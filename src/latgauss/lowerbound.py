@@ -186,6 +186,11 @@ def hypercube_closeness_test(
 # -- retry inversion -----------------------------------------------------------------
 
 
+def _uniform(stream, stage: int) -> float:
+    """The uniform word at counter (stage, draw 0, component 0)."""
+    return float(stream.uniform_matrix(stage, np.zeros(1, dtype=np.uint64), 1)[0, 0])
+
+
 def failure_sentinel(d: int) -> np.ndarray:
     """The all-ones vertex, returned when no retry hits the pre-image."""
     return np.ones(d)
@@ -201,7 +206,7 @@ def posterior_encoder(gen: SignGenerator):
 
     def encode(x, stream, stage):
         probs = exact_orthant_posterior(gen, x)
-        u = float(stream.uniform(stage, 0, 1)[0])
+        u = _uniform(stream, stage)
         k = int(np.searchsorted(np.cumsum(probs), u))
         k = min(k, len(probs) - 1)
         return pattern_to_vertex(k, gen.d)[0]
@@ -213,7 +218,7 @@ def uniform_orthant_encoder(gen: SignGenerator):
     """Baseline encoder ignoring x: a uniformly random orthant."""
 
     def encode(x, stream, stage):
-        u = float(stream.uniform(stage, 0, 1)[0])
+        u = _uniform(stream, stage)
         k = min(int(u * (1 << gen.d)), (1 << gen.d) - 1)
         return pattern_to_vertex(k, gen.d)[0]
 
@@ -237,8 +242,8 @@ def retry_invert(
     """
     x_tilde = np.asarray(x_tilde, dtype=np.float64)
     target = int(vertex_to_pattern(x_tilde)[0])
-    for j in range(M):
-        xi = stream.normal(1, j, gen.d)
+    noise = stream.normal_matrix(1, np.arange(M, dtype=np.uint64), gen.d)
+    for j, xi in enumerate(noise):
         x = x_tilde + gen.beta * xi
         for k in range(M_prime):
             z = encoder(x, stream, 2 + j * M_prime + k)
@@ -269,7 +274,7 @@ def retry_success_rate(
     hits = 0
     for t in range(trials):
         stream = NoiseStream(seed + t)
-        u = float(stream.uniform(0, 0, 1)[0])
+        u = _uniform(stream, 0)
         target_pattern = min(int(u * (1 << gen.d)), (1 << gen.d) - 1)
         x_tilde = pattern_to_vertex(gen.code(target_pattern), gen.d)[0]
         out = retry_invert(gen, encoder, x_tilde, M, M_prime, stream)

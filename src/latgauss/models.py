@@ -94,7 +94,7 @@ def sample_dlg_batch(
     Each run of consecutive stages with equal variance and width, such as
     the Langevin stages of a compiled encoder, draws its noise in blocks of
     stages (rng.normal_blocks), bit for bit the per-stage draws
-    stream.normal(s, draw, width).
+    stream.normal_matrix(s, draws, width).
     """
     states = np.asarray(inputs, dtype=np.float64)
     if states.ndim != 2 or states.shape[1] != model.input_dim:

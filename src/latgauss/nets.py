@@ -190,12 +190,6 @@ class Network:
 
     # -- evaluation ----------------------------------------------------------
 
-    def eval(self, z: np.ndarray) -> np.ndarray:
-        z = np.asarray(z, dtype=np.float64)
-        if z.shape != (self.input_dim,):
-            raise DimensionError(f"expected input of shape ({self.input_dim},), got {z.shape}")
-        return self.eval_batch(z[None, :])[0]
-
     def eval_batch(self, Z: np.ndarray) -> np.ndarray:
         """Evaluate on a batch, shape (n, input_dim) -> (n, output_dim)."""
         state = np.asarray(Z, dtype=np.float64)
@@ -221,13 +215,6 @@ class Network:
         return state, tape
 
     # -- differentiation -----------------------------------------------------
-
-    def jacobian(self, z: np.ndarray) -> np.ndarray:
-        """Exact reverse-mode Jacobian, shape (output_dim, input_dim)."""
-        z = np.asarray(z, dtype=np.float64)
-        if z.shape != (self.input_dim,):
-            raise DimensionError(f"expected input of shape ({self.input_dim},)")
-        return self.jacobian_batch(z[None, :])[0]
 
     def jacobian_batch(self, Z: np.ndarray) -> np.ndarray:
         """Jacobians for a batch, shape (n, output_dim, input_dim)."""
@@ -379,6 +366,19 @@ def as_linear(net: Network):
 # -- derivative tensors (finite differences of the exact Jacobian) ------------
 
 
+def _jacobian_at(net: Network, z: np.ndarray) -> np.ndarray:
+    """Exact Jacobian at one point, shape (output_dim, input_dim): a one-row
+    jacobian_batch.
+
+    Finite differences of the Jacobian (the tensors below and
+    potential.hess_potential) call it once per point on purpose: one
+    jacobian_batch over all of their points would round some entries
+    differently, since BLAS multiplies one row and many rows with different
+    kernels, and so would move the constants and Hessians in the last bits.
+    """
+    return net.jacobian_batch(z[None, :])[0]
+
+
 def second_derivative_tensor(net: Network, z: np.ndarray, step: float = 1e-4) -> np.ndarray:
     """T[i, j, k] = d^2 G_i / dz_j dz_k via central differences of the Jacobian."""
     z = np.asarray(z, dtype=np.float64)
@@ -387,7 +387,7 @@ def second_derivative_tensor(net: Network, z: np.ndarray, step: float = 1e-4) ->
     for k in range(d):
         e = np.zeros(d)
         e[k] = step
-        T[:, :, k] = (net.jacobian(z + e) - net.jacobian(z - e)) / (2.0 * step)
+        T[:, :, k] = (_jacobian_at(net, z + e) - _jacobian_at(net, z - e)) / (2.0 * step)
     return 0.5 * (T + T.transpose(0, 2, 1))
 
 
@@ -395,7 +395,7 @@ def third_derivative_tensor(net: Network, z: np.ndarray, step: float = 1e-3) -> 
     """T[i, j, k, l] = d^3 G_i / dz_j dz_k dz_l via second differences of the Jacobian."""
     z = np.asarray(z, dtype=np.float64)
     d = net.input_dim
-    J0 = net.jacobian(z)
+    J0 = _jacobian_at(net, z)
     T = np.empty((net.output_dim, d, d, d))
     for k in range(d):
         ek = np.zeros(d)
@@ -404,13 +404,13 @@ def third_derivative_tensor(net: Network, z: np.ndarray, step: float = 1e-3) -> 
             el = np.zeros(d)
             el[l] = step
             if k == l:
-                block = (net.jacobian(z + ek) - 2.0 * J0 + net.jacobian(z - ek)) / step**2
+                block = (_jacobian_at(net, z + ek) - 2.0 * J0 + _jacobian_at(net, z - ek)) / step**2
             else:
                 block = (
-                    net.jacobian(z + ek + el)
-                    - net.jacobian(z + ek - el)
-                    - net.jacobian(z - ek + el)
-                    + net.jacobian(z - ek - el)
+                    _jacobian_at(net, z + ek + el)
+                    - _jacobian_at(net, z + ek - el)
+                    - _jacobian_at(net, z - ek + el)
+                    + _jacobian_at(net, z - ek - el)
                 ) / (4.0 * step**2)
             T[:, :, k, l] = block
             T[:, :, l, k] = block
@@ -524,10 +524,8 @@ def estimate_constants(
     M2 and M3 come from one batched tensor_opnorm call per derivative order
     over the tensors at the first tensor_points sample points; for a map
     from R^d to R^d they equal a loop over the points, one tensor at a
-    time, bit for bit. The tensors themselves come from one net.jacobian
-    call per finite-difference point: a single jacobian_batch over all of
-    them rounds some entries differently (BLAS multiplies one row and many
-    rows with different kernels).
+    time, bit for bit. The tensors themselves come from one one-row
+    jacobian_batch call per finite-difference point (_jacobian_at).
     """
     from .rng import NoiseStream, ball_points
 

@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import PlanTooLarge
-from .invert import GdPlan, GdTrace, gd_invert, make_gd_plan
+from .invert import GD_STEP_CAP_DEFAULT, GdPlan, GdTrace, gd_invert, make_gd_plan
 from .models import LatentGaussian
 from .nets import MapConstants, Network, estimate_constants
 from .potential import PosteriorProblem, RegionD, check_inverse, region
@@ -76,7 +76,7 @@ class ChainRun(NamedTuple):
 
 def plan_pipeline(
     problem: PosteriorProblem,
-    gd_max_steps: int = 1_000_000,
+    gd_max_steps: int = GD_STEP_CAP_DEFAULT,
     step_cap: int = STEP_CAP_DEFAULT,
 ) -> PipelinePlan:
     """Deterministic half of the pipeline: descent with early stop, the
@@ -96,7 +96,7 @@ def plan_truncated(
     problem: PosteriorProblem,
     gd_steps: int,
     langevin_steps: int,
-    gd_max_steps: int = 1_000_000,
+    gd_max_steps: int = GD_STEP_CAP_DEFAULT,
     step_cap: int = STEP_CAP_DEFAULT,
 ) -> PipelinePlan:
     """Plan for a compiled encoder: the planned step sizes, cut to fixed

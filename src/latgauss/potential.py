@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import DimensionError, InitializationError, InvertibilityError
 from .models import LatentGaussian
-from .nets import MapConstants
+from .nets import MapConstants, _jacobian_at
 
 HESS_FD_STEP = 1e-4  # central-difference step for second generator derivatives
 
@@ -77,10 +77,6 @@ def potential_batch(problem: PosteriorProblem, Z: np.ndarray) -> np.ndarray:
     return 0.5 * (np.sum(Z * Z, axis=1) + np.sum(R * R, axis=1) / problem.beta**2)
 
 
-def grad_potential(problem: PosteriorProblem, z: np.ndarray) -> np.ndarray:
-    return grad_potential_batch(problem, np.asarray(z, dtype=np.float64)[None, :])[0]
-
-
 def grad_potential_batch(problem: PosteriorProblem, Z: np.ndarray) -> np.ndarray:
     """grad L(z) = z + J_G(z)^T (G(z) - x) / beta^2, batched via one backward pass."""
     g = problem.model.generator
@@ -98,13 +94,13 @@ def hess_potential(problem: PosteriorProblem, z: np.ndarray) -> np.ndarray:
     g = problem.model.generator
     z = np.asarray(z, dtype=np.float64)
     d = problem.dim
-    J = g.jacobian(z)
-    r = g.eval(z) - problem.x
+    J = _jacobian_at(g, z)
+    r = g.eval_batch(z[None, :])[0] - problem.x
     H = J.T @ J
     for k in range(d):
         e = np.zeros(d)
         e[k] = HESS_FD_STEP
-        dJ = (g.jacobian(z + e) - g.jacobian(z - e)) / (2.0 * HESS_FD_STEP)
+        dJ = (_jacobian_at(g, z + e) - _jacobian_at(g, z - e)) / (2.0 * HESS_FD_STEP)
         # dJ[i, j] ~= d^2 G_i / dz_j dz_k contributes r_i dJ[i, j] to H[j, k]
         H[:, k] += r @ dJ
     H = H / problem.beta**2 + np.eye(d)
@@ -163,7 +159,7 @@ def check_inverse(problem: PosteriorProblem, zhat: np.ndarray, validate: bool = 
     zhat = np.asarray(zhat, dtype=np.float64)
     if zhat.shape != (problem.dim,):
         raise DimensionError(f"zhat must have shape ({problem.dim},)")
-    residual = float(np.linalg.norm(problem.model.generator.eval(zhat) - problem.x))
+    residual = float(np.linalg.norm(problem.model.generator.eval_batch(zhat[None, :])[0] - problem.x))
     m = problem.constants.m
     rad = float(region_radius(problem))
     norm_bound = float(np.linalg.norm(problem.x)) / m
@@ -194,10 +190,10 @@ def refine_inverse(problem: PosteriorProblem, z0: np.ndarray, tol: float = 1e-13
     g = problem.model.generator
     z = np.asarray(z0, dtype=np.float64).copy()
     for _ in range(max_iter):
-        r = g.eval(z) - problem.x
+        r = g.eval_batch(z[None, :])[0] - problem.x
         if np.linalg.norm(r) <= tol:
             return z
-        J = g.jacobian(z)
+        J = _jacobian_at(g, z)
         try:
             step = np.linalg.solve(J, r)
         except np.linalg.LinAlgError:
@@ -206,9 +202,9 @@ def refine_inverse(problem: PosteriorProblem, z0: np.ndarray, tol: float = 1e-13
     from scipy.optimize import least_squares
 
     out = least_squares(
-        lambda v: g.eval(v) - problem.x,
+        lambda v: g.eval_batch(v[None, :])[0] - problem.x,
         z,
-        jac=lambda v: g.jacobian(v),
+        jac=lambda v: _jacobian_at(g, v),
         xtol=1e-15,
         ftol=1e-15,
         gtol=1e-15,
@@ -236,11 +232,10 @@ def taylor_remainder_check(
     zhat = np.asarray(zhat, dtype=np.float64)
     d = problem.dim
     delta = z - zhat
-    J = g.jacobian(zhat)
+    J = _jacobian_at(g, zhat)
     hess_at_inverse = np.eye(d) + (J.T @ J) / problem.beta**2
-    measured = float(
-        np.linalg.norm(grad_potential(problem, z) - zhat - hess_at_inverse @ delta)
-    )
+    grad = grad_potential_batch(problem, z[None, :])[0]
+    measured = float(np.linalg.norm(grad - zhat - hess_at_inverse @ delta))
     dist = float(np.linalg.norm(delta))
     bound = (
         np.sqrt(d)

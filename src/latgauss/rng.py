@@ -103,22 +103,14 @@ class NoiseStream:
         u *= 2.0**-53
         return u
 
-    # -- scalar-draw API --------------------------------------------------
-
-    def uniform(self, stage: int, draw: int, n: int) -> np.ndarray:
-        """n uniforms in (0,1) at counter (stage, draw, 0..n-1)."""
-        return self.uniform_matrix(stage, np.array([draw], dtype=np.uint64), n)[0]
-
-    def normal(self, stage: int, draw: int, n: int) -> np.ndarray:
-        """n standard normals at counter (stage, draw, 0..n-1)."""
-        return ndtri(self.uniform(stage, draw, n))
-
     # -- batched API (draw axis vectorized) -------------------------------
 
     def uniform_matrix(self, stage: int, draws: np.ndarray, n: int) -> np.ndarray:
+        """Row i holds n uniforms in (0,1) at counter (stage, draws[i], 0..n-1)."""
         return self._uniforms(stage, 1, draws, n)[0]
 
     def normal_matrix(self, stage: int, draws: np.ndarray, n: int) -> np.ndarray:
+        """Row i holds n standard normals at counter (stage, draws[i], 0..n-1)."""
         u = self.uniform_matrix(stage, draws, n)
         return ndtri(u, out=u)
 
@@ -204,12 +196,6 @@ def ball_points(stream, stage: int, draws: np.ndarray, dim: int, radius: float) 
 
 class ZeroStream:
     """Stand-in stream returning zeros; used to switch diffusion terms off."""
-
-    def uniform(self, stage: int, draw: int, n: int) -> np.ndarray:
-        return np.full(n, 0.5)
-
-    def normal(self, stage: int, draw: int, n: int) -> np.ndarray:
-        return np.zeros(n)
 
     def uniform_matrix(self, stage: int, draws: np.ndarray, n: int) -> np.ndarray:
         return np.full((len(draws), n), 0.5)

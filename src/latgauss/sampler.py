@@ -35,13 +35,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DegeneratePlan,
-    InitializationError,
-    NumericalBlowup,
-    PlanTooLarge,
-)
-from .potential import PosteriorProblem, RegionD, grad_potential_batch
+from .errors import DegeneratePlan, NumericalBlowup, PlanTooLarge
+from .potential import PosteriorProblem, RegionD, check_inverse, grad_potential_batch
 from .rng import ball_points, normal_blocks
 
 STEP_CAP_DEFAULT = 10**7
@@ -132,18 +127,12 @@ def initialize_batch(
     """z_init plus a uniform ball perturbation of radius rad/4, one row per
     chain index.
 
-    Precondition (checked observably): ||G(z_init) - x|| <= m * rad/4, which
-    certifies ||z_init - zhat|| <= rad/4.
+    Precondition: ||G(z_init) - x|| <= m * rad/4, which certifies
+    ||z_init - zhat|| <= rad/4. potential.check_inverse owns that test and
+    raises InitializationError when it fails.
     """
     z_init = np.asarray(z_init, dtype=np.float64)
-    residual = float(np.linalg.norm(problem.model.generator.eval(z_init) - problem.x))
-    allowed = problem.constants.m * region.radius / 4.0
-    if residual > allowed * (1.0 + 1e-9):
-        raise InitializationError(
-            "start point violates ||G(z_init) - x|| <= m * rad/4",
-            residual=residual,
-            allowed=allowed,
-        )
+    check_inverse(problem, z_init)
     noise = ball_points(
         stream, stages.init_stage, chains, problem.dim, region.radius / 4.0
     )

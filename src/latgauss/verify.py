@@ -144,8 +144,9 @@ def chi2_initialization(
     z_init: np.ndarray,
     grid_points: int = 20001,
     ball_radius: float | None = None,
-):
-    """(log sqrt chi2, bound) for the uniform-ball start against the target.
+) -> dict:
+    """Chi-square gate for the uniform-ball start against the target:
+    {log_sqrt_chi2, bound, pass}, passing when log sqrt chi2 <= bound.
 
     The start law P0 is Uniform(z_init +- ball_radius), default radius/4; the
     target is the restricted posterior on the region. Requires dimension 1
@@ -181,8 +182,8 @@ def chi2_initialization(
     chi2 = float(np.sum(integrand * w)) - 1.0
     log_sqrt_chi2 = -np.inf if chi2 <= 0.0 else 0.5 * float(np.log(chi2))
 
-    bound = problem.dim * np.log(4.0) + 0.5 * float(L.max() - L.min())
-    return log_sqrt_chi2, float(bound)
+    bound = float(problem.dim * np.log(4.0) + 0.5 * float(L.max() - L.min()))
+    return {"log_sqrt_chi2": log_sqrt_chi2, "bound": bound, "pass": bool(log_sqrt_chi2 <= bound)}
 
 
 # -- Gaussian oracles and moment tests -------------------------------------------------

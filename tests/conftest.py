@@ -3,7 +3,7 @@ from hypothesis import strategies as st
 
 from latgauss.models import LatentGaussian
 from latgauss.nets import Layer, MapConstants, Network, identity_net, scale_net, tanh_residual_net
-from latgauss.potential import PosteriorProblem
+from latgauss.potential import PosteriorProblem, grad_potential_batch
 
 
 def tanh_constants(alpha=0.5):
@@ -13,6 +13,11 @@ def tanh_constants(alpha=0.5):
 
 
 TANH_CONSTANTS = tanh_constants(0.5)
+
+
+def grad_at(problem, z):
+    """grad L at one point, as a one-row batch."""
+    return grad_potential_batch(problem, z[None, :])[0]
 
 
 def identity_problem(d=1, beta=0.1, x=None, epsilon=0.1):

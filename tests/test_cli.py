@@ -8,6 +8,7 @@ import pytest
 from scipy.optimize import brentq
 
 from latgauss import cli, invert
+from latgauss.compiler import equivalence_gate
 from latgauss.experiments import exit_fraction_experiment, posterior_tv_experiment
 from latgauss.nets import MapConstants, tanh_residual_net
 from latgauss.pipeline import build_problem, plan_pipeline, run_planned_chains
@@ -69,9 +70,12 @@ def test_invert_tanh_matches_scalar_root(tmp_path):
         ({"generator": {"builtin": "identity"}, "d": 1}, "beta"),
         ({"generator": {"builtin": "identity"}, "d": 1, "beta": 0.1, "epsilon": 2}, "epsilon"),
         ({"generator": {"builtin": "identity"}, "d": 1, "beta": 0.1, "oops": 1}, "oops"),
+        # the config file itself is JSON but not a network file
+        ({"generator": {"path": "c.json"}, "d": 1, "beta": 0.1}, "generator.path 'c.json'"),
     ],
 )
-def test_config_errors_emit_json(tmp_path, capsys, raw, needle):
+def test_config_errors_emit_json(tmp_path, capsys, monkeypatch, raw, needle):
+    monkeypatch.chdir(tmp_path)
     cfgp = write_config(tmp_path, "c.json", raw)
     assert run(["invert", "--config", cfgp]) == 1
     err = json.loads(capsys.readouterr().out)
@@ -195,7 +199,30 @@ def test_compile_emits_verified_artifact(tmp_path):
     assert rep["self_test"]["pass"]
     assert rep["self_test"]["round_trip_identical"]
     assert rep["self_test"]["max_relative_deviation"] <= 1e-6
+    gate = {k: v for k, v in rep["self_test"].items() if k != "round_trip_identical"}
+    assert gate == equivalence_gate(rep["self_test"]["max_relative_deviation"], 16)
     assert (out / "encoder.json").exists()
+
+
+def test_compile_failing_self_test_writes_no_encoder(tmp_path, capsys, monkeypatch):
+    def deviating(problem, planned, encoder, stream, draws):
+        return 2e-6, np.zeros((draws, problem.dim))
+
+    monkeypatch.setattr(cli, "equivalence_deviation", deviating)
+    cfgp = write_config(
+        tmp_path,
+        "c.json",
+        {"generator": {"builtin": "tanh-residual"}, "d": 1, "beta": 0.1,
+         "constants": TANH_CONSTANTS,
+         "compile": {"gd_steps": 8, "langevin_steps": 30}},
+    )
+    out = tmp_path / "out"
+    assert run(["compile", "--config", cfgp, "--out", str(out)]) == 1
+    err = json.loads(capsys.readouterr().out)
+    assert err["error"] == "VerificationError"
+    assert err["max_relative_deviation"] == 2e-6
+    assert err["tolerance"] == 1e-6
+    assert not (out / "encoder.json").exists()
 
 
 def test_compile_rejects_plan_over_cap(tmp_path, capsys):

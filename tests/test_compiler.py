@@ -129,8 +129,8 @@ def test_step_network_exact():
     Z = rng.normal(size=(6, 3))
     want = np.empty_like(Z)
     for r, z in enumerate(Z):
-        J = gen.jacobian(z)
-        want[r] = c1 * z + c2 * J.T @ (gen.eval(z) - x)
+        J = gen.jacobian_batch(z[None])[0]
+        want[r] = c1 * z + c2 * J.T @ (gen.eval_batch(z[None])[0] - x)
 
     sn = step_network(gen, c1, c2)  # amortized: input (z, x)
     out = sn.eval_batch(np.concatenate([Z, np.broadcast_to(x, Z.shape)], axis=1))

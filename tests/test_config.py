@@ -69,6 +69,8 @@ def test_epsilon_range(epsilon):
         ({"beta": -0.1}, "beta"),
         ({"rotation": -1}, "rotation"),
         ({"mask": "180"}, "mask"),
+        ({"d": True}, "d"),
+        ({"beta": float("inf")}, "beta"),
     ],
 )
 def test_lowerbound_values_checked(lowerbound, field):
@@ -107,10 +109,43 @@ def test_overrides_win():
     assert cfg.seed == 9 and cfg.out_dir == "b"
 
 
-@pytest.mark.parametrize("jobs", [0, -1, 1.5, "2"])
+@pytest.mark.parametrize("jobs", [0, -1, 1.5, "2", True])
 def test_jobs_must_be_positive_integer(jobs):
     with pytest.raises(ConfigError, match="jobs"):
         parse_config({**BASE, "jobs": jobs})
+
+
+TANH_CONSTANTS = {"m": 1, "M": 1.5, "M2": 0.385, "M3": 1}
+
+
+@pytest.mark.parametrize(
+    "fields, needle",
+    [
+        ({"generator": {"builtin": "scale", "scale": "2"}}, "generator.scale"),
+        ({"generator": {"builtin": "scale", "scale": float("inf")}}, "generator.scale"),
+        ({"generator": {"builtin": "tanh-residual", "alpha": None}}, "generator.alpha"),
+        ({"generator": {"builtin": "tanh-residual", "scale": 3}}, "'scale'"),
+        ({"generator": {"builtin": "identity", "alpha": 0.5}}, "'alpha'"),
+        ({"generator": {"builtin": "random-residual", "seed": 1.5}}, "generator.seed"),
+        ({"generator": {"builtin": "random-residual", "seed": True}}, "generator.seed"),
+        ({"d": True}, "d must"),
+        ({"x": [True, 0.9]}, "x must"),
+        ({"x": [float("nan"), 0.9]}, "x must"),
+        ({"chains": True}, "chains"),
+        ({"seed": True}, "seed"),
+        ({"caps": {"max_gd_steps": True}}, "max_gd_steps"),
+        ({"compile": {"langevin_steps": True}}, "langevin_steps"),
+        ({"beta": float("inf")}, "beta"),
+        ({"beta": 10**400}, "beta"),
+        ({"constants": {**TANH_CONSTANTS, "M2": float("inf")}}, "M2"),
+        ({"constants": {**TANH_CONSTANTS, "M3": float("inf")}}, "M3"),
+        ({"constants": {**TANH_CONSTANTS, "m": True}}, "constants.m "),
+    ],
+)
+def test_malformed_values_rejected(fields, needle):
+    # booleans are not integers or numbers, and numbers must be finite
+    with pytest.raises(ConfigError, match=needle):
+        parse_config({**BASE, **fields})
 
 
 def test_builtin_generators_build():
@@ -140,6 +175,24 @@ def test_generator_path_round_trip(tmp_path):
     loaded = cfg.build_generator()
     Z = np.random.default_rng(0).normal(size=(5, 2))
     assert np.array_equal(loaded.eval_batch(Z), net.eval_batch(Z))
+
+
+@pytest.mark.parametrize(
+    "content",
+    [None, "{not json", json.dumps({"format": "other"}), "sign network", json.dumps([1])],
+)
+def test_generator_path_errors_name_the_path(tmp_path, content):
+    from latgauss.lowerbound import SignGenerator, generator_network
+
+    p = tmp_path / "net.json"
+    if content == "sign network":
+        content = generator_network(SignGenerator(d=2, beta=0.1)).to_json()
+    if content is not None:
+        p.write_text(content)
+    cfg = parse_config({**BASE, "generator": {"path": str(p)}})
+    with pytest.raises(ConfigError, match="generator.path") as err:
+        cfg.build_generator()
+    assert err.value.payload["path"] == str(p)
 
 
 def test_load_config_file_errors(tmp_path):

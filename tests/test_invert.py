@@ -46,13 +46,13 @@ def test_monotone_descent_and_residual_gate():
         d = 1 + seed % 3
         gen = random_residual_tanh_net(d, seed=seed)
         consts = estimate_constants(gen, sample_count=600, radius=4.0, seed=seed)
-        x = gen.eval(np.random.default_rng(seed).normal(size=d) * 0.8)
+        x = gen.eval_batch(np.random.default_rng(seed).normal(size=(1, d)) * 0.8)[0]
         prob = PosteriorProblem(LatentGaussian(gen, 0.1), x, consts, epsilon=0.1)
         plan = make_gd_plan(prob)
         trace = gd_invert(prob, plan)
         assert trace.converged
         assert np.all(np.diff(trace.objectives) <= 1e-12)  # descent never increases
-        residual = np.linalg.norm(gen.eval(trace.final) - x)
+        residual = np.linalg.norm(gen.eval_batch(trace.final[None])[0] - x)
         assert residual <= consts.m * plan.delta * (1 + 1e-12)
 
 

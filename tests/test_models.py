@@ -13,14 +13,15 @@ from latgauss.rng import NoiseStream, ZeroStream
 
 
 def sample_dlg(model, inp, stream, draw=0):
-    """Scalar reference for sample_dlg_batch: one input row, stage s noise at
-    counter (s, draw)."""
-    state = np.asarray(inp, dtype=np.float64)
+    """Stage-by-stage reference for sample_dlg_batch on one input row, as a
+    one-row batch: stage s noise at counter (s, draw)."""
+    state = np.asarray(inp, dtype=np.float64)[None, :]
     for s, (net, var) in enumerate(model.stages):
-        state = net.eval(state)
+        state = net.eval_batch(state)
         if var > 0.0:
-            state = state + np.sqrt(var) * stream.normal(s, draw, len(state))
-    return state
+            noise = stream.normal_matrix(s, np.array([draw], dtype=np.uint64), state.shape[1])
+            state = state + np.sqrt(var) * noise
+    return state[0]
 
 
 def test_latent_gaussian_validation():
@@ -34,7 +35,7 @@ def test_dlg_stage_chaining_and_eval():
     # two deterministic stages compose like function application
     dlg = DeepLatentGaussian([(scale_net(2, 2.0), 0.0), (tanh_residual_net(2, 0.5), 0.0)])
     z = np.array([0.3, -0.4])
-    want = tanh_residual_net(2, 0.5).eval(scale_net(2, 2.0).eval(z))
+    want = tanh_residual_net(2, 0.5).eval_batch(scale_net(2, 2.0).eval_batch(z[None]))[0]
     assert np.allclose(sample_dlg(dlg, z, ZeroStream()), want)
 
 

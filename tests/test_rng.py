@@ -13,31 +13,36 @@ from latgauss.rng import NoiseStream, ZeroStream, ball_points, normal_blocks
 WORD = st.integers(0, 2**64 - 1)
 
 
+def one(draw):
+    """A one-row draw axis."""
+    return np.array([draw], dtype=np.uint64)
+
+
 def test_repeatable_bitwise():
-    a = NoiseStream(42).normal(3, 7, 16)
-    b = NoiseStream(42).normal(3, 7, 16)
+    a = NoiseStream(42).normal_matrix(3, one(7), 16)
+    b = NoiseStream(42).normal_matrix(3, one(7), 16)
     assert np.array_equal(a, b)
 
 
 def test_seed_changes_stream():
-    a = NoiseStream(1).uniform(0, 0, 32)
-    b = NoiseStream(2).uniform(0, 0, 32)
+    a = NoiseStream(1).uniform_matrix(0, one(0), 32)
+    b = NoiseStream(2).uniform_matrix(0, one(0), 32)
     assert not np.array_equal(a, b)
 
 
 def test_component_prefix_stability():
     s = NoiseStream(5)
-    short = s.uniform(2, 9, 4)
-    long = s.uniform(2, 9, 11)
-    assert np.array_equal(short, long[:4])
+    short = s.uniform_matrix(2, one(9), 4)
+    long = s.uniform_matrix(2, one(9), 11)
+    assert np.array_equal(short, long[:, :4])
 
 
 def test_counters_are_independent_axes():
     # moving any one counter gives fresh words, leaving the rest untouched
     s = NoiseStream(0)
-    base = s.uniform(1, 1, 8)
-    assert not np.array_equal(base, s.uniform(2, 1, 8))
-    assert not np.array_equal(base, s.uniform(1, 2, 8))
+    base = s.uniform_matrix(1, one(1), 8)
+    assert not np.array_equal(base, s.uniform_matrix(2, one(1), 8))
+    assert not np.array_equal(base, s.uniform_matrix(1, one(2), 8))
 
 
 def test_matrix_matches_scalar_calls():
@@ -45,7 +50,7 @@ def test_matrix_matches_scalar_calls():
     draws = np.arange(5, dtype=np.uint64)
     M = s.normal_matrix(4, draws, 3)
     for i in range(5):
-        assert np.array_equal(M[i], s.normal(4, i, 3))
+        assert np.array_equal(M[i], s.normal_matrix(4, one(i), 3)[0])
 
 
 def test_uniform_in_open_interval():
@@ -72,7 +77,7 @@ def test_ball_points_inside_and_nondegenerate():
 
 def test_zero_stream():
     z = ZeroStream()
-    assert np.all(z.normal(0, 0, 5) == 0.0)
+    assert np.all(z.normal_matrix(0, one(0), 5) == 0.0)
     assert np.all(z.uniform_matrix(1, np.arange(3, dtype=np.uint64), 2) == 0.5)
 
 

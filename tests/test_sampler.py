@@ -8,7 +8,14 @@ from latgauss import rng
 from latgauss.errors import DegeneratePlan, InitializationError, NumericalBlowup, PlanTooLarge
 from latgauss.models import LatentGaussian
 from latgauss.nets import MapConstants, random_residual_tanh_net
-from latgauss.potential import PosteriorProblem, RegionD, grad_potential_batch, refine_inverse, region
+from latgauss.potential import (
+    PosteriorProblem,
+    RegionD,
+    check_inverse,
+    grad_potential_batch,
+    refine_inverse,
+    region,
+)
 from latgauss.rng import NoiseStream, ZeroStream
 from latgauss.sampler import (
     PipelineStages,
@@ -86,8 +93,12 @@ def test_initialize_ball_and_precondition():
     Z0 = initialize_batch(prob, reg, reg.center, NoiseStream(3), stages, idx)
     r = np.linalg.norm(Z0 - reg.center, axis=1)
     assert np.all(r <= reg.radius / 4.0 + 1e-12)
-    with pytest.raises(InitializationError):
+    with pytest.raises(InitializationError) as err:
         initialize_batch(prob, reg, reg.center + 10.0, NoiseStream(3), stages, idx)
+    with pytest.raises(InitializationError) as owner:
+        check_inverse(prob, reg.center + 10.0)
+    assert err.value.payload == owner.value.payload
+    assert set(err.value.payload) == {"residual", "allowed"}
 
 
 def test_langevin_step_formula():

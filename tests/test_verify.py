@@ -80,9 +80,10 @@ def test_chi2_identity_example():
     # G = identity, x = 0, beta = 0.1, eps = 0.1, start at zhat
     prob = identity_problem(d=1, beta=0.1, x=[0.0])
     reg = prepared(prob)
-    log_sq, bound = chi2_initialization(prob, reg, reg.center)
-    assert np.isfinite(log_sq)
-    assert log_sq <= bound
+    chi2 = chi2_initialization(prob, reg, reg.center)
+    assert np.isfinite(chi2["log_sqrt_chi2"])
+    assert chi2["log_sqrt_chi2"] <= chi2["bound"]
+    assert chi2["pass"]
 
 
 def test_chi2_sentinel_when_laws_coincide(monkeypatch):
@@ -102,11 +103,9 @@ def test_chi2_sentinel_when_laws_coincide(monkeypatch):
         radius_cap=np.inf,
         radius_within_cap=True,
     )
-    log_sq, bound = chi2_initialization(
-        prob, reg, np.zeros(1), grid_points=2**14 + 1, ball_radius=0.5
-    )
-    assert log_sq == -np.inf
-    assert bound == pytest.approx(np.log(4.0))
+    chi2 = chi2_initialization(prob, reg, np.zeros(1), grid_points=2**14 + 1, ball_radius=0.5)
+    assert chi2["log_sqrt_chi2"] == -np.inf
+    assert chi2["bound"] == pytest.approx(np.log(4.0))
 
 
 def test_chi2_ball_escaping_region_rejected():
@@ -121,8 +120,8 @@ def test_chi2_shrinking_bulk_ball_grows():
     # concentrates P0 as it shrinks, so chi2 grows
     prob = tanh_problem(d=1, beta=0.1, x=[0.9])
     reg = prepared(prob)
-    log_a, _ = chi2_initialization(prob, reg, reg.center, ball_radius=reg.radius / 40)
-    log_b, _ = chi2_initialization(prob, reg, reg.center, ball_radius=reg.radius / 400)
+    log_a = chi2_initialization(prob, reg, reg.center, ball_radius=reg.radius / 40)["log_sqrt_chi2"]
+    log_b = chi2_initialization(prob, reg, reg.center, ball_radius=reg.radius / 400)["log_sqrt_chi2"]
     assert log_b > log_a
 
 
