@@ -7,8 +7,8 @@ model mechanically out of network gadgets in the smooth activation set:
 
 * _sweep: reverse-mode differentiation as a network. One forward tape of a
   smooth network G keeps what sigma' needs (square preactivations, tanh
-  outputs squared one layer later), and one reverse sweep, seeded with a
-  cotangent, realizes each sigma'(u) * delta product through the
+  outputs squared one layer later), and one reverse sweep, seeded with the
+  residual wire, realizes each sigma'(u) * delta product through the
   square-activation multiplication identity a*b = ((a+b)^2 - (a-b)^2) / 4
   and folds W^T into the next gadget or the output. Its size is a small
   multiple of G's, as the cheap-gradient principle promises.
@@ -16,9 +16,6 @@ model mechanically out of network gadgets in the smooth activation set:
   shared shape of descent steps (c1=1, c2=-eta) and Langevin drift steps
   (c1=1-h, c2=-h/beta^2): the sweep seeded with the residual wire G(z) - x,
   which the forward tape emits.
-* derivative_network / jacobian_network: the sweep seeded with a constant
-  row e_i gives grad_z G_i; the Jacobian network runs one per output.
-* mul_networks: pointwise product of two networks.
 
 Stage layout of a compiled encoder (positions are DLG stage indices and match
 sampler.PipelineStages, so direct chains and the encoder consume identical
@@ -35,11 +32,11 @@ noise counters):
 The ball perturbation is not Gaussian, so it cannot be stage noise; the caller
 samples it (same counters as the direct pipeline) and feeds it as an input
 channel. Amortized encoders take input (z0, x, n) and carry x through every
-stage at scale carry_scale: stage noise is isotropic over the whole stage
-output, so an identity carry would corrupt x by sqrt(2h) * xi per Langevin
-stage; scaling the channel up attenuates that corruption to sqrt(2hK) /
-carry_scale, far below the equivalence tolerance. Non-amortized encoders bake
-x into biases and take input (z0, n).
+stage at scale DEFAULT_CARRY_SCALE: stage noise is isotropic over the whole
+stage output, so an identity carry would corrupt x by sqrt(2h) * xi per
+Langevin stage; scaling the channel up attenuates that corruption to
+sqrt(2hK) / DEFAULT_CARRY_SCALE, far below the equivalence tolerance.
+Non-amortized encoders bake x into biases and take input (z0, n).
 """
 
 from __future__ import annotations
@@ -51,13 +48,7 @@ import numpy as np
 
 from .errors import DimensionError, UnsupportedDifferentiation
 from .models import DeepLatentGaussian, sample_dlg_batch
-from .nets import (
-    _CODE,
-    ELEMENTWISE_ACTIVATIONS,
-    Layer,
-    Network,
-    linear_net,
-)
+from .nets import _CODE, Layer, Network, linear_net
 from .invert import GdPlan
 from .pipeline import PipelinePlan, run_planned_chains
 from .potential import PosteriorProblem
@@ -151,85 +142,6 @@ class _Builder:
         return Network(self.layers, self.input_dim)
 
 
-def _layer_tags(layer: Layer):
-    return [ELEMENTWISE_ACTIVATIONS[c] for c in layer.codes]
-
-
-def _smooth_or_raise(net: Network, what: str):
-    if not net.smooth:
-        raise UnsupportedDifferentiation(f"{what} requires a smooth network")
-
-
-# -- combinators ------------------------------------------------------------------
-
-
-def pad_depth(net: Network, depth: int) -> Network:
-    if net.depth > depth:
-        raise ValueError("cannot pad to a smaller depth")
-    if net.depth == depth:
-        return net
-    eye = [
-        Layer(np.eye(net.output_dim), np.zeros(net.output_dim), _ID_TAG)
-        for _ in range(depth - net.depth)
-    ]
-    return Network(list(net.layers) + eye, net.input_dim)
-
-
-def parallel(parts, input_dim: int) -> Network:
-    """Side-by-side networks over a shared input.
-
-    parts: list of (net, column offset); net i reads input columns
-    [offset, offset + net.input_dim). Outputs are concatenated in order.
-    Depths are equalized by appending identity layers.
-    """
-    depth = max(net.depth for net, _ in parts)
-    padded = [(pad_depth(net, depth), off) for net, off in parts]
-    layers = []
-    for j in range(depth):
-        rows = sum(net.layers[j].rows for net, _ in padded)
-        if j == 0:
-            width = input_dim
-        else:
-            width = sum(net.layers[j - 1].out_dim for net, _ in padded)
-        W = np.zeros((rows, width))
-        b = np.zeros(rows)
-        tags = []
-        r = 0
-        c = 0
-        for net, off in padded:
-            lay = net.layers[j]
-            if j == 0:
-                W[r : r + lay.rows, off : off + lay.in_dim] = lay.weight
-            else:
-                W[r : r + lay.rows, c : c + lay.in_dim] = lay.weight
-                c += lay.in_dim
-            b[r : r + lay.rows] = lay.bias
-            tags.extend(_layer_tags(lay))
-            r += lay.rows
-        layers.append(Layer(W, b, tags))
-    return Network(layers, input_dim)
-
-
-def mul_networks(f: Network, g: Network) -> Network:
-    """Network computing f(z) * g(z) elementwise.
-
-    Uses a*b = ((a+b)^2 - (a-b)^2)/4 with square activations, so the result
-    stays in the smooth activation set.
-    """
-    if f.input_dim != g.input_dim or f.output_dim != g.output_dim:
-        raise DimensionError("mul_networks needs matching input and output dims")
-    q = f.output_dim
-    both = parallel([(f, 0), (g, 0)], f.input_dim)
-    eye = np.eye(q)
-    pm = Layer(
-        np.vstack([np.hstack([eye, eye]), np.hstack([eye, -eye])]),
-        np.zeros(2 * q),
-        _SQ_TAG,
-    )
-    fold = Layer(np.hstack([0.25 * eye, -0.25 * eye]), np.zeros(q), _ID_TAG)
-    return Network(list(both.layers) + [pm, fold], f.input_dim)
-
-
 # -- reverse-mode sweep -------------------------------------------------------------
 #
 # A cotangent in the sweep is an affine expression over the current frame's
@@ -278,35 +190,27 @@ def _gadget_blocks(k, t, s, i, g):
     return blocks
 
 
-def _sweep(net, groups, rides, c1, c2, row=None, offset=None) -> Network:
-    """One forward tape and one reverse sweep: z -> (c1 z + c2 J(z)^T s, rides).
+def _sweep(net, groups, rides, c1, c2, offset) -> Network:
+    """One forward tape and one reverse sweep: z -> (c1 z + c2 J(z)^T r, rides).
 
     groups are the input wire groups and net reads the group "z"; rides are
     input groups carried verbatim to the output after the gradient block.
-    The cotangent s is the constant output row `row`, or the residual wire
-    r = net(z) + offset for offset = ({group: matrix}, bias) over ride groups.
+    The sweep is seeded with the residual wire r = net(z) + offset, for
+    offset = ({group: matrix}, bias) over ride groups.
 
     The forward tape computes each layer's activations "a", copies the
     preactivations of its square neurons (u{k}), and squares its tanh
-    outputs one layer later (tsq{k}). With a residual seed, r replaces the
-    output of an all-identity last layer, else a layer after it computes r.
-    The reverse sweep then realizes each sigma'(u) * g product with the
-    square-activation identity a*b = ((a+b)^2 - (a-b)^2)/4 (_gadget_blocks)
-    and folds the quarter difference into W^T; the last fold writes the
-    output block.
+    outputs one layer later (tsq{k}). r replaces the output of an
+    all-identity last layer, else a layer after it computes r. The reverse
+    sweep then realizes each sigma'(u) * g product with the square-activation
+    identity a*b = ((a+b)^2 - (a-b)^2)/4 (_gadget_blocks) and folds the
+    quarter difference into W^T; the last fold writes the output block.
     """
     tanh_code, sq_code = _CODE[_TANH_TAG], _CODE[_SQ_TAG]
     L = net.depth
-    const = row is not None
-    passing = (["z"] if c1 else []) + list(rides)
-    tpos, spos = [], []
-    for k, lay in enumerate(net.layers):
-        t = np.flatnonzero(lay.codes == tanh_code)
-        s = np.flatnonzero(lay.codes == sq_code)
-        if k == L - 1 and const:  # neurons the constant seed does not reach drop out
-            t, s = t[row[t] != 0], s[row[s] != 0]
-        tpos.append(t)
-        spos.append(s)
+    passing = ["z"] + list(rides)
+    tpos = [np.flatnonzero(lay.codes == tanh_code) for lay in net.layers]
+    spos = [np.flatnonzero(lay.codes == sq_code) for lay in net.layers]
     b = _Builder(groups)
 
     def carries(upto, made=()):
@@ -325,32 +229,24 @@ def _sweep(net, groups, rides, c1, c2, row=None, offset=None) -> Network:
     for k, lay in enumerate(net.layers):
         t, s = tpos[k], spos[k]
         blocks = []
-        if k < L - 1 or (not const and (len(t) or len(s))):
-            blocks.append(("a", _layer_tags(lay), [(lay.weight, src)], lay.bias))
-        elif not const:  # residual seed, all-identity last layer: r is its output
+        if k < L - 1 or len(t) or len(s):
+            blocks.append(("a", lay.activation_tags(), [(lay.weight, src)], lay.bias))
+        else:  # all-identity last layer: r is its output
             terms = [(lay.weight, src)] + _expr_terms(offset)
             blocks.append(("r", _ID_TAG, terms, lay.bias + offset[1]))
-        elif len(t):  # constant seed: only the tanh outputs it reaches
-            blocks.append(("a", _TANH_TAG, [(lay.weight[t], src)], lay.bias[t]))
         if len(s):
             blocks.append((f"u{k}", _ID_TAG, [(lay.weight[s], src)], lay.bias[s]))
         if k and len(tpos[k - 1]):
             blocks.append(square_tanh(k - 1, np.eye(net.layers[k - 1].rows)[tpos[k - 1]]))
-        if blocks:
-            emit(blocks, k - 1)
+        emit(blocks, k - 1)
         src = "a"
     n, t = net.output_dim, tpos[-1]
-    if const:
+    if len(t) or len(spos[-1]):
+        blocks = [("r", _ID_TAG, [(np.eye(n), "a")] + _expr_terms(offset), offset[1])]
         if len(t):
-            emit([square_tanh(L - 1, np.eye(len(t)))], L - 1)
-        g = ({}, np.asarray(row, dtype=np.float64))
-    else:
-        if len(t) or len(spos[-1]):
-            blocks = [("r", _ID_TAG, [(np.eye(n), "a")] + _expr_terms(offset), offset[1])]
-            if len(t):
-                blocks.append(square_tanh(L - 1, np.eye(n)[t]))
-            emit(blocks, L - 1)
-        g = ({"r": np.eye(n)}, np.zeros(n))
+            blocks.append(square_tanh(L - 1, np.eye(n)[t]))
+        emit(blocks, L - 1)
+    g = ({"r": np.eye(n)}, np.zeros(n))
 
     # reverse sweep: g is the cotangent at layer k's output
     for k in range(L - 1, -1, -1):
@@ -359,16 +255,6 @@ def _sweep(net, groups, rides, c1, c2, row=None, offset=None) -> Network:
         i = np.setdiff1d(np.arange(n), np.concatenate([t, s]))
         if not (len(t) or len(s)):
             delta = g
-        elif not g[0]:  # constant cotangent: sigma'(u) * c is affine in tsq and u
-            c = g[1]
-            bias = c.copy()
-            bias[s] = 0.0
-            terms = {}
-            if len(t):
-                terms[f"tsq{k}"] = -_scatter(t, n) * c[t]
-            if len(s):
-                terms[f"u{k}"] = 2.0 * _scatter(s, n) * c[s]
-            delta = (terms, bias)
         else:
             emit(_gadget_blocks(k, t, s, i, g), k - 1)
             quarter = (("pt", t, 0.25), ("mt", t, -0.25), ("ps", s, 0.25), ("ms", s, -0.25),
@@ -377,28 +263,9 @@ def _sweep(net, groups, rides, c1, c2, row=None, offset=None) -> Network:
             delta = (terms, np.zeros(n))
         g = _expr_map(lay.weight.T, delta)
 
-    terms = _expr_terms(g, c2)
-    if c1:
-        terms.append((c1 * np.eye(net.input_dim), "z"))
+    terms = _expr_terms(g, c2) + [(c1 * np.eye(net.input_dim), "z")]
     b.emit([("z", _ID_TAG, terms, c2 * g[1])] + [b.carry(nm) for nm in rides])
     return b.network()
-
-
-def derivative_network(net: Network, output_index: int) -> Network:
-    """Network computing grad_z G_i(z) for one output coordinate i: the
-    reverse sweep seeded with the constant row e_i."""
-    _smooth_or_raise(net, "derivative_network")
-    if not 0 <= output_index < net.output_dim:
-        raise DimensionError(f"output_index {output_index} out of range")
-    row = np.zeros(net.output_dim)
-    row[output_index] = 1.0
-    return _sweep(net, [("z", net.input_dim)], (), 0.0, 1.0, row=row)
-
-
-def jacobian_network(net: Network) -> Network:
-    """Network emitting the flattened Jacobian, rows = output coordinates."""
-    parts = [(derivative_network(net, i), 0) for i in range(net.output_dim)]
-    return parallel(parts, net.input_dim)
 
 
 # -- step networks ------------------------------------------------------------------
@@ -425,7 +292,8 @@ def step_network(
     the z block (_sweep). The step costs a small multiple of G's own size:
     24d parameters at depth 4 for z + alpha tanh(z), whose G has 4d.
     """
-    _smooth_or_raise(generator, "step_network")
+    if not generator.smooth:
+        raise UnsupportedDifferentiation("step_network requires a smooth network")
     if generator.input_dim != generator.output_dim:
         raise DimensionError("step networks need a square generator")
     d = generator.input_dim
@@ -484,13 +352,12 @@ def compile_encoder(
     gd_plan: GdPlan,
     plan: SamplerPlan,
     amortized: bool = True,
-    carry_scale: float = DEFAULT_CARRY_SCALE,
 ) -> CompiledEncoder:
     g = problem.model.generator
     d = problem.dim
     S, K = gd_plan.steps, plan.steps
     h = plan.h
-    lam = carry_scale if amortized else 1.0
+    lam = DEFAULT_CARRY_SCALE if amortized else 1.0
     E, Z = np.eye(d), np.zeros((d, d))
     if amortized:  # input (z0, x, n) -> (0, lam*x, n) -> (z + n, lam*x) -> z
         zero = linear_net(np.block([[Z, Z, Z], [Z, lam * E, Z], [Z, Z, E]]))

@@ -5,8 +5,8 @@ named, so a typo cannot silently fall back to a default; each builtin
 generator accepts only its own parameters. An int below is a JSON integer
 and never a boolean; a float is any finite JSON number (not a boolean, NaN
 or an infinity). A generator file that cannot be read or parsed as a smooth
-network is a ConfigError naming the path. All randomness is seeded from the
-config; nothing reads entropy implicitly.
+network from R^d to R^d is a ConfigError naming the path. All randomness is
+seeded from the config; nothing reads entropy implicitly.
 
 Schema (JSON object):
 
@@ -125,6 +125,15 @@ class RunConfig:
                 f"generator.path {path!r} holds a network with sign activations; "
                 "a generator must use smooth activations only",
                 path=path,
+            )
+            _require(
+                net.input_dim == net.output_dim == self.d,
+                f"generator.path {path!r} holds a network mapping {net.input_dim} -> "
+                f"{net.output_dim}; the config's d is {self.d}",
+                path=path,
+                d=self.d,
+                input_dim=net.input_dim,
+                output_dim=net.output_dim,
             )
             return net
         name = spec["builtin"]

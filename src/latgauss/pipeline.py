@@ -105,7 +105,8 @@ def plan_truncated(
     Descent keeps the planned step 1/Q but runs exactly gd_steps steps with
     no early stop, since the encoder replays every stage; the chain keeps the
     full plan's h and start radius but runs langevin_steps steps, unprojected.
-    Both counts and the full Langevin plan must fit their caps.
+    Both counts and the full Langevin plan must fit their caps, and the
+    descent output must meet the chain start precondition (check_inverse).
     """
     if gd_steps > gd_max_steps:
         raise PlanTooLarge(
@@ -122,6 +123,7 @@ def plan_truncated(
     base = make_gd_plan(problem, max_steps=gd_max_steps)
     gd_plan = GdPlan(eta=base.eta, steps=gd_steps, Q=base.Q, delta=base.delta)
     trace = gd_invert(problem, gd_plan, early_stop=False)
+    check_inverse(problem, trace.final)
     reg = region(problem, trace.final)
     plan = dataclasses.replace(make_sampler_plan(problem, reg, step_cap=step_cap), steps=langevin_steps)
     return PipelinePlan(trace, reg, gd_plan, plan)

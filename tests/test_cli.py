@@ -10,7 +10,7 @@ from scipy.optimize import brentq
 from latgauss import cli, invert
 from latgauss.compiler import equivalence_gate
 from latgauss.experiments import exit_fraction_experiment, posterior_tv_experiment
-from latgauss.nets import MapConstants, tanh_residual_net
+from latgauss.nets import MapConstants, linear_net, tanh_residual_net
 from latgauss.pipeline import build_problem, plan_pipeline, run_planned_chains
 from latgauss.rng import NoiseStream
 
@@ -72,10 +72,15 @@ def test_invert_tanh_matches_scalar_root(tmp_path):
         ({"generator": {"builtin": "identity"}, "d": 1, "beta": 0.1, "oops": 1}, "oops"),
         # the config file itself is JSON but not a network file
         ({"generator": {"path": "c.json"}, "d": 1, "beta": 0.1}, "generator.path 'c.json'"),
+        # network files whose dimensions disagree with d
+        ({"generator": {"path": "t2.json"}, "d": 1, "beta": 0.1}, "generator.path 't2.json'"),
+        ({"generator": {"path": "lin21.json"}, "d": 2, "beta": 0.1}, "generator.path 'lin21.json'"),
     ],
 )
 def test_config_errors_emit_json(tmp_path, capsys, monkeypatch, raw, needle):
     monkeypatch.chdir(tmp_path)
+    (tmp_path / "t2.json").write_text(tanh_residual_net(2, 0.5).to_json())
+    (tmp_path / "lin21.json").write_text(linear_net(np.array([[1.0, 0.5]])).to_json())
     cfgp = write_config(tmp_path, "c.json", raw)
     assert run(["invert", "--config", cfgp]) == 1
     err = json.loads(capsys.readouterr().out)

@@ -13,14 +13,9 @@ from latgauss.compiler import (
     DEFAULT_CARRY_SCALE,
     CompiledEncoder,
     compile_encoder,
-    derivative_network,
     equivalence_deviation,
-    jacobian_network,
     load_encoder,
     manifest,
-    mul_networks,
-    pad_depth,
-    parallel,
     run_encoder,
     save_encoder,
     step_network,
@@ -34,92 +29,10 @@ from latgauss.rng import NoiseStream
 rng = np.random.default_rng(7)
 
 
-def generator_cases():
-    return {
-        "identity": nets.identity_net(3),
-        "linear": nets.linear_net(np.array([[1.5, -0.3], [0.2, 0.9]]), np.array([0.1, -0.2])),
-        "tanh_residual": nets.tanh_residual_net(3, 0.4),
-        "random_smooth": nets.random_smooth_net(2, seed=3, hidden=5),
-        "random_residual": nets.random_residual_tanh_net(2, seed=9, alpha=0.5),
-    }
-
-
-def test_pad_depth():
-    padded = pad_depth(nets.tanh_residual_net(2, 0.5), 6)
-    assert padded.depth == 6
-    Z2 = rng.normal(size=(4, 2))
-    assert np.allclose(padded.eval_batch(Z2), nets.tanh_residual_net(2, 0.5).eval_batch(Z2))
-
-
-def test_parallel_disjoint_slices():
-    f = nets.random_smooth_net(2, seed=11, hidden=4)
-    g = nets.random_smooth_net(2, seed=12, hidden=3)
-    pa = parallel([(f, 0), (g, 2)], 4)
-    Z = rng.normal(size=(5, 4))
-    want = np.concatenate([f.eval_batch(Z[:, :2]), g.eval_batch(Z[:, 2:])], axis=1)
-    assert np.allclose(pa.eval_batch(Z), want, atol=1e-12)
-
-
-def test_mul_gadget_accuracy_large_values():
-    # ab = ((a+b)^2 - (a-b)^2)/4 through square activations; relative error
-    # stays at 1e-10 even at |values| up to 1e3
-    f = nets.scale_net(1, 31.0)
-    g = nets.linear_net(np.array([[29.0]]), np.array([3.0]))
-    prod = mul_networks(f, g)
-    z = np.linspace(-32.0, 32.0, 101)[:, None]  # products up to ~ 9.2e5, factors ~1e3
-    got = prod.eval_batch(z)
-    want = f.eval_batch(z) * g.eval_batch(z)
-    rel = np.abs(got - want) / np.maximum(1.0, np.abs(want))
-    assert np.max(rel) <= 1e-10
-
-
-def test_derivative_networks_match_jacobians():
-    for name, g in generator_cases().items():
-        Z = rng.normal(size=(7, g.input_dim))
-        J = g.jacobian_batch(Z)
-        for i in range(g.output_dim):
-            got = derivative_network(g, i).eval_batch(Z)
-            assert np.max(np.abs(got - J[:, i, :])) <= 1e-9, name
-        full = jacobian_network(g).eval_batch(Z).reshape(len(Z), g.output_dim, g.input_dim)
-        assert np.max(np.abs(full - J)) <= 1e-9, name
-
-
-def test_derivative_network_mixed_activations():
-    W1 = rng.normal(size=(5, 2))
-    W2 = rng.normal(size=(2, 5)) * 0.3
-    mixed = Network(
-        [
-            Layer(W1, rng.normal(size=5) * 0.1, ["tanh", "square", "identity", "tanh", "square"]),
-            Layer(W2, np.zeros(2), ["identity", "tanh"]),
-        ],
-        2,
-    )
-    Z = rng.normal(size=(9, 2)) * 0.7
-    J = mixed.jacobian_batch(Z)
-    for i in range(2):
-        got = derivative_network(mixed, i).eval_batch(Z)
-        assert np.max(np.abs(got - J[:, i, :])) <= 1e-9
-
-
-def test_derivative_network_square_output_layer():
-    sqout = Network(
-        [
-            Layer(rng.normal(size=(3, 3)), np.zeros(3), "tanh"),
-            Layer(rng.normal(size=(3, 3)), rng.normal(size=3), "square"),
-        ],
-        3,
-    )
-    Z = rng.normal(size=(5, 3)) * 0.5
-    J = sqout.jacobian_batch(Z)
-    for i in range(3):
-        got = derivative_network(sqout, i).eval_batch(Z)
-        assert np.max(np.abs(got - J[:, i, :])) <= 1e-9
-
-
-def test_derivative_network_rejects_sign():
+def test_step_network_rejects_sign():
     sign_net = Network([Layer(np.eye(2), np.zeros(2), "sign")], 2)
     with pytest.raises(UnsupportedDifferentiation):
-        derivative_network(sign_net, 0)
+        step_network(sign_net, 1.0, -0.1)
 
 
 def test_step_network_exact():
@@ -152,7 +65,7 @@ def relative_gap(got, want):
 @given(gen=smooth_generators(), seed=st.integers(0, 2**32 - 1))
 def test_sweeps_match_reverse_mode(gen, seed):
     # the compiled step is c1 z + c2 J^T (G(z) - x), amortized and with x
-    # baked in, and every derivative network row is a Jacobian row
+    # baked in
     d = gen.input_dim
     draws = np.random.default_rng(seed)
     Z = draws.normal(size=(6, d))
@@ -172,9 +85,41 @@ def test_sweeps_match_reverse_mode(gen, seed):
     assert relative_gap(out[:, :d], want) <= 1e-9
     assert np.array_equal(out[:, d:], carry)
 
-    J = gen.jacobian_batch(Z)
-    for i in range(d):
-        assert relative_gap(derivative_network(gen, i).eval_batch(Z), J[:, i, :]) <= 1e-9
+
+def fixed_sweep_net(name, draws):
+    if name == "mixed_tags":  # tanh, square and identity neurons in one layer
+        return Network(
+            [
+                Layer(draws.normal(size=(5, 2)), draws.normal(size=5) * 0.1,
+                      ["tanh", "square", "identity", "tanh", "square"]),
+                Layer(draws.normal(size=(2, 5)) * 0.3, np.zeros(2), ["identity", "tanh"]),
+            ],
+            2,
+        )
+    return Network(  # a square output layer
+        [
+            Layer(draws.normal(size=(3, 3)), np.zeros(3), "tanh"),
+            Layer(draws.normal(size=(3, 3)), draws.normal(size=3), "square"),
+        ],
+        3,
+    )
+
+
+@pytest.mark.parametrize("name", ["mixed_tags", "square_output"])
+def test_step_network_fixed_nets_match_reverse_mode(name):
+    draws = np.random.default_rng(7)
+    gen = fixed_sweep_net(name, draws)
+    d = gen.input_dim
+    Z = draws.normal(size=(9, d)) * 0.7
+    x = draws.normal(size=d)
+    c1, c2 = 0.97, -0.05
+    _, pullback = gen.vjp_batch(Z, gen.eval_batch(Z) - x)
+    want = c1 * Z + c2 * pullback
+
+    amortized = step_network(gen, c1, c2).eval_batch(np.hstack([Z, np.broadcast_to(x, Z.shape)]))
+    assert np.max(np.abs(amortized[:, :d] - want)) <= 1e-9
+    baked = step_network(gen, c1, c2, x_const=x).eval_batch(Z)
+    assert np.max(np.abs(baked - want)) <= 1e-9
 
 
 @pytest.mark.parametrize("d", [1, 2, 4, 8])

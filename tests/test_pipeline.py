@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import TANH_CONSTANTS, identity_problem, tanh_problem
-from latgauss.errors import DimensionError
+from latgauss.errors import DimensionError, InitializationError
 from latgauss.experiments import (
     compiled_vs_direct_experiment,
     exit_fraction_experiment,
@@ -13,7 +13,7 @@ from latgauss.experiments import (
 )
 from latgauss.nets import MapConstants, tanh_residual_net
 from latgauss.pipeline import build_problem, plan_pipeline, plan_truncated, run_planned_chains
-from latgauss.potential import diagnostics_report, refine_inverse
+from latgauss.potential import check_inverse, diagnostics_report, refine_inverse
 from latgauss.rng import NoiseStream
 
 
@@ -82,6 +82,18 @@ def test_planning_leaves_the_problem_unchanged():
     got = run_planned_chains(prob, short, NoiseStream(2), 12)
     assert np.array_equal(got.finals, want.finals)
     assert np.array_equal(got.exited, want.exited)
+
+
+def test_plan_truncated_checks_the_chain_start():
+    # no descent leaves z = 0, whose residual 0.894 exceeds m * rad/4 = 0.502:
+    # the plan raises before an encoder is compiled from it
+    prob = tanh_problem(d=2, beta=0.1, x=[0.8, -0.4])
+    with pytest.raises(InitializationError) as err:
+        plan_truncated(prob, 0, 10)
+    with pytest.raises(InitializationError) as owner:
+        check_inverse(prob, np.zeros(2))
+    assert err.value.payload == owner.value.payload
+    assert set(err.value.payload) == {"residual", "allowed"}
 
 
 def test_run_planned_chains_shapes_and_snapshots():
