@@ -144,24 +144,22 @@ class _Builder:
 
 # -- reverse-mode sweep -------------------------------------------------------------
 #
-# A cotangent in the sweep is an affine expression over the current frame's
-# wire groups: ({group: matrix}, bias). The next multiplication gadget reads it
-# inside its own rows, so no cotangent, and no W^T of an identity layer, costs
-# a layer of its own.
+# A cotangent in the sweep is a linear expression over the current frame's
+# wire groups: {group: matrix}. The next multiplication gadget reads it inside
+# its own rows, so no cotangent, and no W^T of an identity layer, costs a
+# layer of its own.
 
 
 def _expr_map(mat, expr):
-    terms, bias = expr
-    return {src: mat @ m for src, m in terms.items()}, mat @ bias
+    return {src: mat @ m for src, m in expr.items()}
 
 
 def _expr_rows(expr, rows):
-    terms, bias = expr
-    return {src: m[rows] for src, m in terms.items()}, bias[rows]
+    return {src: m[rows] for src, m in expr.items()}
 
 
 def _expr_terms(expr, scale=1.0):
-    return [(scale * m, src) for src, m in expr[0].items()]
+    return [(scale * m, src) for src, m in expr.items()]
 
 
 def _scatter(positions, rows):
@@ -177,16 +175,15 @@ def _gadget_blocks(k, t, s, i, g):
     if len(t):
         gt = _expr_rows(g, t)
         tsq = (-np.eye(len(t)), f"tsq{k}")
-        blocks.append(("pt", _SQ_TAG, [tsq] + _expr_terms(gt), 1.0 + gt[1]))
-        blocks.append(("mt", _SQ_TAG, [tsq] + _expr_terms(gt, -1.0), 1.0 - gt[1]))
+        blocks.append(("pt", _SQ_TAG, [tsq] + _expr_terms(gt), np.ones(len(t))))
+        blocks.append(("mt", _SQ_TAG, [tsq] + _expr_terms(gt, -1.0), np.ones(len(t))))
     if len(s):
         gs = _expr_rows(g, s)
         u = (2.0 * np.eye(len(s)), f"u{k}")
-        blocks.append(("ps", _SQ_TAG, [u] + _expr_terms(gs), gs[1]))
-        blocks.append(("ms", _SQ_TAG, [u] + _expr_terms(gs, -1.0), -gs[1]))
+        blocks.append(("ps", _SQ_TAG, [u] + _expr_terms(gs), np.zeros(len(s))))
+        blocks.append(("ms", _SQ_TAG, [u] + _expr_terms(gs, -1.0), np.zeros(len(s))))
     if len(i):
-        gi = _expr_rows(g, i)
-        blocks.append(("gid", _ID_TAG, _expr_terms(gi), gi[1]))
+        blocks.append(("gid", _ID_TAG, _expr_terms(_expr_rows(g, i)), np.zeros(len(i))))
     return blocks
 
 
@@ -196,7 +193,8 @@ def _sweep(net, groups, rides, c1, c2, offset) -> Network:
     groups are the input wire groups and net reads the group "z"; rides are
     input groups carried verbatim to the output after the gradient block.
     The sweep is seeded with the residual wire r = net(z) + offset, for
-    offset = ({group: matrix}, bias) over ride groups.
+    offset = ({group: matrix}, bias) over ride groups; the cotangents it
+    carries back are linear in the wires, with no bias.
 
     The forward tape computes each layer's activations "a", copies the
     preactivations of its square neurons (u{k}), and squares its tanh
@@ -208,6 +206,7 @@ def _sweep(net, groups, rides, c1, c2, offset) -> Network:
     """
     tanh_code, sq_code = _CODE[_TANH_TAG], _CODE[_SQ_TAG]
     L = net.depth
+    shift, shift_bias = offset
     passing = ["z"] + list(rides)
     tpos = [np.flatnonzero(lay.codes == tanh_code) for lay in net.layers]
     spos = [np.flatnonzero(lay.codes == sq_code) for lay in net.layers]
@@ -232,26 +231,26 @@ def _sweep(net, groups, rides, c1, c2, offset) -> Network:
         if k < L - 1 or len(t) or len(s):
             blocks.append(("a", lay.activation_tags(), [(lay.weight, src)], lay.bias))
         else:  # all-identity last layer: r is its output
-            terms = [(lay.weight, src)] + _expr_terms(offset)
-            blocks.append(("r", _ID_TAG, terms, lay.bias + offset[1]))
+            terms = [(lay.weight, src)] + _expr_terms(shift)
+            blocks.append(("r", _ID_TAG, terms, lay.bias + shift_bias))
         if len(s):
             blocks.append((f"u{k}", _ID_TAG, [(lay.weight[s], src)], lay.bias[s]))
         if k and len(tpos[k - 1]):
-            blocks.append(square_tanh(k - 1, np.eye(net.layers[k - 1].rows)[tpos[k - 1]]))
+            blocks.append(square_tanh(k - 1, np.eye(net.layers[k - 1].out_dim)[tpos[k - 1]]))
         emit(blocks, k - 1)
         src = "a"
     n, t = net.output_dim, tpos[-1]
     if len(t) or len(spos[-1]):
-        blocks = [("r", _ID_TAG, [(np.eye(n), "a")] + _expr_terms(offset), offset[1])]
+        blocks = [("r", _ID_TAG, [(np.eye(n), "a")] + _expr_terms(shift), shift_bias)]
         if len(t):
             blocks.append(square_tanh(L - 1, np.eye(n)[t]))
         emit(blocks, L - 1)
-    g = ({"r": np.eye(n)}, np.zeros(n))
+    g = {"r": np.eye(n)}
 
     # reverse sweep: g is the cotangent at layer k's output
     for k in range(L - 1, -1, -1):
         lay = net.layers[k]
-        t, s, n = tpos[k], spos[k], lay.rows
+        t, s, n = tpos[k], spos[k], lay.out_dim
         i = np.setdiff1d(np.arange(n), np.concatenate([t, s]))
         if not (len(t) or len(s)):
             delta = g
@@ -259,12 +258,11 @@ def _sweep(net, groups, rides, c1, c2, offset) -> Network:
             emit(_gadget_blocks(k, t, s, i, g), k - 1)
             quarter = (("pt", t, 0.25), ("mt", t, -0.25), ("ps", s, 0.25), ("ms", s, -0.25),
                        ("gid", i, 1.0))
-            terms = {nm: w * _scatter(pos, n) for nm, pos, w in quarter if nm in b.frame.names}
-            delta = (terms, np.zeros(n))
+            delta = {nm: w * _scatter(pos, n) for nm, pos, w in quarter if nm in b.frame.names}
         g = _expr_map(lay.weight.T, delta)
 
     terms = _expr_terms(g, c2) + [(c1 * np.eye(net.input_dim), "z")]
-    b.emit([("z", _ID_TAG, terms, c2 * g[1])] + [b.carry(nm) for nm in rides])
+    b.emit([("z", _ID_TAG, terms, np.zeros(net.input_dim))] + [b.carry(nm) for nm in rides])
     return b.network()
 
 

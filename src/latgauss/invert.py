@@ -78,7 +78,6 @@ def make_gd_plan(
 def gd_invert(
     problem: PosteriorProblem,
     plan: GdPlan,
-    start: np.ndarray | None = None,
     early_stop: bool = True,
 ) -> GdTrace:
     """Run the descent. Raises DescentViolation if any step breaks the
@@ -91,7 +90,7 @@ def gd_invert(
     g = problem.model.generator
     x = problem.x
     m = problem.constants.m
-    z = np.zeros(problem.dim) if start is None else np.asarray(start, dtype=np.float64).copy()
+    z = np.zeros(problem.dim)
 
     objectives = np.empty(plan.steps + 1)
     grad_norms = np.empty(plan.steps + 1)

@@ -22,6 +22,7 @@ from scipy.special import logsumexp
 
 from .errors import EnumerationCap
 from .nets import Layer, Network
+from .rng import NoiseStream
 
 MAX_DIM = 16
 SMALL_BETA_GATE = 0.1
@@ -71,9 +72,6 @@ class SignGenerator:
 
     def code(self, pattern: int) -> int:
         return int(self.table[pattern])
-
-    def decode(self, code: int) -> int:
-        return int(np.argmax(self.table == code))
 
 
 def pattern_to_vertex(patterns, d: int) -> np.ndarray:
@@ -153,7 +151,7 @@ def exact_orthant_posterior(gen: SignGenerator, x: np.ndarray) -> np.ndarray:
 
 
 def hypercube_closeness_test(
-    gen: SignGenerator, sample_count: int, c: float, stream=None, seed: int = 0
+    gen: SignGenerator, sample_count: int, c: float, seed: int = 0
 ) -> dict:
     """Fraction of samples with ||x - G(z)|| > 6 c beta sqrt(d).
 
@@ -162,12 +160,8 @@ def hypercube_closeness_test(
     """
     if c <= 1.0:
         raise ValueError("the closeness bound needs c > 1")
-    if stream is None:
-        from .rng import NoiseStream
-
-        stream = NoiseStream(seed)
     idx = np.arange(sample_count, dtype=np.uint64)
-    Z, X = sample_x(gen, stream, idx)
+    Z, X = sample_x(gen, NoiseStream(seed), idx)
     gap = np.linalg.norm(X - apply_generator(gen, Z), axis=1)
     threshold = 6.0 * c * gen.beta * np.sqrt(gen.d)
     frac = float(np.mean(gap > threshold))
@@ -268,8 +262,6 @@ def retry_success_rate(
     chosen vertex (the sentinel only collides when it is itself the correct
     answer, which counts as a success by the same criterion).
     """
-    from .rng import NoiseStream
-
     encoder = encoder_factory(gen)
     hits = 0
     for t in range(trials):
@@ -297,8 +289,6 @@ def demo_report(
 ) -> dict:
     """Headline statistics for the construction at one toy scale."""
     gen = SignGenerator(d=d, beta=beta, rotation=rotation, mask=mask % (1 << d))
-    from .rng import NoiseStream
-
     stream = NoiseStream(seed)
     idx = np.arange(trials, dtype=np.uint64)
     Z, X = sample_x(gen, stream, idx)

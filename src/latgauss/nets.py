@@ -75,12 +75,8 @@ class Layer:
         return self.weight.shape[1]
 
     @property
-    def rows(self) -> int:
-        return self.weight.shape[0]
-
-    @property
     def out_dim(self) -> int:
-        return self.rows
+        return self.weight.shape[0]
 
     def is_smooth(self) -> bool:
         return not np.any(self.codes == _SIGN)

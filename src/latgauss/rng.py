@@ -28,9 +28,9 @@ counters of `count` consecutive stages in one pass and returns shape
 n)` bit for bit: the uint64 chain, the 53-bit conversion and `ndtri` all act
 element by element, and the per-stage calls run the same code with one
 stage. `normal_blocks` yields such blocks of about 2^16 words, scaled and
-newly allocated; loops that draw noise at every stage (Langevin chains, the
-compiled encoder's stages, the CIR paths) walk them to pay the per-call cost
-once per block instead of once per stage. Since every word's counter is
+newly allocated; loops that draw noise at every stage (Langevin chains and
+the compiled encoder's stages) walk them to pay the per-call cost once per
+block instead of once per stage. Since every word's counter is
 fixed in advance, the blocks do not depend on what the consumer does with
 them: when a request spans more than one block, each stage has at least 256
 words (a block of at most 256 stages) and the process may run on more than
@@ -196,12 +196,6 @@ def ball_points(stream, stage: int, draws: np.ndarray, dim: int, radius: float) 
 
 class ZeroStream:
     """Stand-in stream returning zeros; used to switch diffusion terms off."""
-
-    def uniform_matrix(self, stage: int, draws: np.ndarray, n: int) -> np.ndarray:
-        return np.full((len(draws), n), 0.5)
-
-    def normal_matrix(self, stage: int, draws: np.ndarray, n: int) -> np.ndarray:
-        return np.zeros((len(draws), n))
 
     def normal_stages(self, stage: int, count: int, draws: np.ndarray, n: int) -> np.ndarray:
         return np.zeros((count, len(draws), n))

@@ -1,4 +1,4 @@
-"""Langevin sampling of the latent posterior, plus the dominating CIR process.
+"""Langevin sampling of the latent posterior.
 
 The chain discretizes dz = -grad L(z) dt + sqrt(2) dB by Euler steps
 
@@ -17,10 +17,7 @@ is measurably too coarse for the total-variation gates this package tests
 against. Both terms shrink polynomially in eps, matching the accuracy theory.
 
 Chains start at z_init + N where N is uniform in the ball of radius rad/4 and
-z_init is the descent output; the squared distance to the inverse is then
-stochastically dominated by a Cox-Ingersoll-Ross process, simulated here as a
-sum of squared Ornstein-Uhlenbeck coordinates so paths stay nonnegative by
-construction.
+z_init is the descent output.
 
 Noise counters: Langevin step k of chain c draws at (stage_base + k, draw=c);
 the ball perturbation draws at (init_stage, draw=c). Stage numbering matches
@@ -29,7 +26,6 @@ the compiled encoder's stage positions so both consume identical noise words.
 
 from __future__ import annotations
 
-import itertools
 from contextlib import closing
 from dataclasses import dataclass
 
@@ -219,47 +215,3 @@ def run_chains(
                 record_exits(block)
     return Z, exited, snapshots
 
-
-# -- Cox-Ingersoll-Ross by squared Ornstein-Uhlenbeck sums --------------------------
-
-
-def simulate_cir(
-    n_tilde: int,
-    w: float,
-    x0: float,
-    h: float,
-    steps: int,
-    stream,
-    paths: int = 1,
-    stage: int = 0,
-) -> np.ndarray:
-    """Paths of dX = (-w X + N) dt + 2 sqrt(X) dB with N = n_tilde coordinates.
-
-    X is represented as the sum of n_tilde squared OU coordinates
-
-        V_{k+1} = (1 - h w / 2) V_k + sqrt(h) xi,     X_k = sum_i V_{k,i}^2,
-
-    started from V_0 = sqrt(x0 / n_tilde) in every coordinate. Nonnegativity
-    is automatic. Returns shape (paths, steps + 1) including X_0. Path p,
-    step k draws at counter (stage + k, draw = p).
-    """
-    if n_tilde < 1:
-        raise ValueError("n_tilde must be a positive integer")
-    if x0 < 0:
-        raise ValueError("x0 must be nonnegative")
-    decay = 1.0 - h * w / 2.0
-    sqrth = np.sqrt(h)
-    V = np.full((paths, n_tilde), np.sqrt(x0 / n_tilde))
-    out = np.empty((paths, steps + 1))
-    out[:, 0] = np.sum(V * V, axis=1)
-    draws = np.arange(paths, dtype=np.uint64)
-    blocks = normal_blocks(stream, stage, steps, draws, n_tilde, scale=sqrth)
-    for k, step_noise in enumerate(itertools.chain.from_iterable(blocks), 1):
-        V = decay * V + step_noise
-        out[:, k] = np.sum(V * V, axis=1)
-    return out
-
-
-def cir_concentration_bound(n_tilde: int, w: float, x0: float, epsilon: float) -> float:
-    """Level 2 x0 + (4 N / w) log(4 N / eps) that paths stay below w.p. 1 - eps."""
-    return 2.0 * x0 + (4.0 * n_tilde / w) * np.log(4.0 * n_tilde / epsilon)

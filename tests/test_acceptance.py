@@ -1,4 +1,4 @@
-"""Acceptance gate: eleven end-to-end checks with runtime budgets.
+"""Acceptance gate: ten end-to-end checks with runtime budgets.
 
 Each test prints one PASS/FAIL line (run with -s to see them all) carrying
 the measured quantity, the gate it is held to, and the elapsed time. The
@@ -43,7 +43,6 @@ from latgauss.potential import (
     taylor_remainder_check,
 )
 from latgauss.rng import NoiseStream, ball_points
-from latgauss.sampler import cir_concentration_bound, simulate_cir
 from latgauss.verify import chi2_initialization
 
 
@@ -52,7 +51,7 @@ def gate(index, name, ok, detail, t0, budget):
     in_budget = elapsed <= budget
     status = "PASS" if ok and in_budget else "FAIL"
     print(
-        f"[{index:2d}/11] {name}: {status} ({detail}; {elapsed:.1f}s of {budget:.0f}s)",
+        f"[{index:2d}/10] {name}: {status} ({detail}; {elapsed:.1f}s of {budget:.0f}s)",
         flush=True,
     )
     assert ok, f"{name}: {detail}"
@@ -202,20 +201,6 @@ def test_unprojected_chains_stay_in_region():
          t0, 300)
 
 
-def test_cir_paths_respect_concentration_level():
-    t0 = time.time()
-    n_tilde, w, eps, horizon, x0 = 2, 10.0, 0.05, 5.0, 0.3
-    steps = 2000
-    paths = simulate_cir(n_tilde, w, x0, horizon / steps, steps, NoiseStream(55), paths=10_000)
-    level = cir_concentration_bound(n_tilde, w, x0, eps)
-    exceed = float(np.mean(paths.max(axis=1) > level))
-    threshold = eps + 3 * np.sqrt(eps / 10_000)
-    ok = exceed <= threshold
-    gate(5, "cir concentration level",
-         ok, f"exceedance {exceed:.4f} <= {threshold:.4f} at level {level:.3f}",
-         t0, 60)
-
-
 _FAMILY = None
 
 
@@ -255,7 +240,7 @@ def test_hessian_strongly_convex_on_region():
         assert diag["admissible"], label
         assert diag["hessian_min_eigenvalue"] >= 1.0 - 1e-8, label
         min_eig = min(min_eig, diag["hessian_min_eigenvalue"])
-    gate(6, "strong convexity over the region",
+    gate(5, "strong convexity over the region",
          True, f"8 problems x 100 points, min eigenvalue {min_eig:.6f} >= 1 - 1e-8",
          t0, 60)
 
@@ -277,7 +262,7 @@ def test_taylor_remainder_within_bound():
             else:
                 assert measured <= bound * (1 + 1e-9), f"{label}: {measured} > {bound}"
                 worst_ratio = max(worst_ratio, measured / bound if bound else 0.0)
-    gate(7, "gradient expansion remainder",
+    gate(6, "gradient expansion remainder",
          True, f"8 problems x 1000 points, worst nonlinear ratio {worst_ratio:.3f}, "
          f"linear residue {worst_linear:.1e} <= 1e-10",
          t0, 60)
@@ -312,7 +297,7 @@ def test_compiled_encoder_matches_direct_pipeline():
         got = step_network(net, 1.0, 1.0, x_const=x).eval_batch(Z) - Z
         sweep_err = max(sweep_err, float(np.max(np.abs(got - want))))
     assert sweep_err <= 1e-9
-    gate(8, "compiled encoder equivalence",
+    gate(7, "compiled encoder equivalence",
          True, f"worst pipeline deviation {max(devs):.2e} <= 1e-6, "
          f"step-network sweeps {sweep_err:.1e} <= 1e-9 (mul gadget sub-gate removed "
          "with mul_networks)",
@@ -335,7 +320,7 @@ def test_chi2_of_start_distribution_below_bound():
         log_sqrt_chi2, bound = chi2["log_sqrt_chi2"], chi2["bound"]
         assert log_sqrt_chi2 <= bound, f"problem {i}: {log_sqrt_chi2} > {bound}"
         worst_margin = min(worst_margin, bound - log_sqrt_chi2)
-    gate(9, "chi-square of the start distribution",
+    gate(8, "chi-square of the start distribution",
          True, f"10 problems, smallest bound margin {worst_margin:.2f}",
          t0, 60)
 
@@ -357,7 +342,7 @@ def test_sign_generator_demo_rates():
 
     retry = retry_success_rate(gen, posterior_encoder, 1000, 4, 4, seed=11)
     assert retry["rate"] >= 0.999, retry
-    gate(10, "sign generator demo",
+    gate(9, "sign generator demo",
          True, f"closeness fraction {close['fraction']:.1e} <= {close['bound'] + close['binomial_slack']:.1e}, "
          f"mass fraction {frac_concentrated:.3f} >= 0.99, retry rate {retry['rate']:.4f} >= 0.999",
          t0, 120)
@@ -368,7 +353,7 @@ def test_projected_chain_tv_decays_under_envelope():
     problem = tanh_problem(d=1)
     rep = mixing_trend_experiment(problem, plan_pipeline(problem), NoiseStream(3), chains=4000)
     ok = rep["pass"] and rep["tv"][-1] < rep["tv"][0]
-    gate(11, "projected chain mixing trend",
+    gate(10, "projected chain mixing trend",
          ok, f"tv {[round(v, 3) for v in rep['tv']]} under envelope "
          f"{[round(v, 3) for v in rep['envelope']]} (+{rep['envelope_allowance']})",
          t0, 180)

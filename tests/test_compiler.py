@@ -148,6 +148,10 @@ def test_encoder_equivalence(amortized):
     enc = compile_encoder(problem, planned.gd_plan, planned.plan, amortized=amortized)
     dev, _ = equivalence_deviation(problem, planned, enc, NoiseStream(20260819), draws=32)
     assert dev <= 1e-6
+    # the sweep carries no cotangent bias, so no stage bias is a negative zero
+    for net in {id(net): net for net, _ in enc.dlg.stages}.values():
+        for lay in net.layers:
+            assert not np.signbit(lay.bias[lay.bias == 0]).any()
 
 
 def round_trip(enc, tmp):

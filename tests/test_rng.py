@@ -75,12 +75,6 @@ def test_ball_points_inside_and_nondegenerate():
     assert abs(frac - 0.5) <= 0.05
 
 
-def test_zero_stream():
-    z = ZeroStream()
-    assert np.all(z.normal_matrix(0, one(0), 5) == 0.0)
-    assert np.all(z.uniform_matrix(1, np.arange(3, dtype=np.uint64), 2) == 0.5)
-
-
 @settings(max_examples=60, deadline=None)
 @given(
     seed=WORD,
@@ -120,9 +114,14 @@ def test_block_draw_prefixes(seed, stage, count, extra, draws, n):
 
 
 def test_zero_stream_block_draw():
-    z = ZeroStream().normal_stages(4, 3, np.arange(5, dtype=np.uint64), 2)
+    draws = np.arange(5, dtype=np.uint64)
+    z = ZeroStream().normal_stages(4, 3, draws, 2)
     assert z.shape == (3, 5, 2)
     assert not z.any()
+    # normal_blocks reads nothing but normal_stages, so chains see zero noise
+    blocks = list(normal_blocks(ZeroStream(), 4, 3, draws, 2, scale=0.5))
+    assert np.concatenate(blocks).shape == (3, 5, 2)
+    assert not any(block.any() for block in blocks)
 
 
 def use_cpus(monkeypatch, cpus):

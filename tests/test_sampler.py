@@ -19,12 +19,10 @@ from latgauss.rng import NoiseStream, ZeroStream
 from latgauss.sampler import (
     PipelineStages,
     SamplerPlan,
-    cir_concentration_bound,
     initialize_batch,
     make_sampler_plan,
     project_ball,
     run_chains,
-    simulate_cir,
 )
 
 
@@ -171,27 +169,6 @@ def test_noise_off_descends_to_mode():
         prob, reg, plan, Z0, ZeroStream(), stages, chains=np.array([0], dtype=np.uint64)
     )
     assert abs(finals[0, 0] - 0.8 / 1.25) <= 1e-6
-
-
-def test_cir_stationary_mean():
-    # dX = (-wX + N)dt + 2 sqrt(X) dB has stationary mean N/w
-    stream = NoiseStream(13)
-    paths = simulate_cir(n_tilde=2, w=10.0, x0=0.2, h=0.001, steps=4000, stream=stream, paths=400)
-    tail = paths[:, 2000:]
-    mean = tail.mean()
-    assert abs(mean - 0.2) <= 0.05 * 0.2 + 4 * tail.std() / np.sqrt(400)
-
-
-def test_cir_nonnegative():
-    paths = simulate_cir(n_tilde=1, w=5.0, x0=0.0, h=0.01, steps=500, stream=NoiseStream(1), paths=50)
-    assert np.all(paths >= 0.0)
-
-
-def test_cir_concentration_bound_value():
-    # bound = 2 x0 + (4 N / w) log(4 N / eps)
-    got = cir_concentration_bound(2, 10.0, 0.3, 0.05)
-    want = 0.6 + 0.8 * np.log(160.0)
-    assert got == pytest.approx(want)
 
 
 def test_stage_numbering():
