@@ -1,5 +1,7 @@
 import dataclasses
+import decimal
 import tempfile
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
@@ -61,11 +63,73 @@ def relative_gap(got, want):
     return float(np.max(np.abs(got - want) / (1.0 + np.abs(want))))
 
 
+UNIT_ROUNDOFF = 2.0**-53
+
+
+def _tags(layer):
+    return np.array([nets.ELEMENTWISE_ACTIVATIONS[c] for c in layer.codes])
+
+
+def _exact_activation(tag, u):
+    if tag == "square":
+        return u * u
+    if tag == "tanh":  # through exp(-2|u|) <= 1, so nothing overflows
+        e = (-2 * abs(u)).exp()
+        return (1 - e) / (1 + e) if u >= 0 else (e - 1) / (1 + e)
+    return u
+
+
+def exact_eval(net, inputs):
+    """net on a float64 batch in 60-digit decimal arithmetic, rounded once to
+    float64 at the end; Decimal(float) takes inputs and weights exactly."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        state = [[Decimal(v) for v in row] for row in np.asarray(inputs, dtype=np.float64)]
+        for lay in net.layers:
+            weight = [[Decimal(w) for w in row] for row in lay.weight]
+            bias = [Decimal(b) for b in lay.bias]
+            state = [
+                [_exact_activation(tag, sum(w * a for w, a in zip(wrow, row)) + b)
+                 for tag, wrow, b in zip(_tags(lay), weight, bias)]
+                for row in state
+            ]
+        return np.array([[float(v) for v in row] for row in state])
+
+
+def rounding_bound(net, inputs):
+    """Bound on |net.eval_batch(inputs) - net(inputs)| in float64, by running
+    error analysis (Higham, Accuracy and Stability of Numerical Algorithms,
+    ch. 3). A preactivation is off by |W| e, for the gap e carried in, plus
+    gamma_{n+1} (|W||a| + |b|) for its n-term dot product and its bias. A
+    square neuron turns a gap e_u into e_u (2|u| + e_u) plus one rounding of
+    u^2; tanh passes e_u on (its slope is at most 1) plus 4 ulps of its value;
+    identity passes e_u on."""
+    a = np.asarray(inputs, dtype=np.float64)
+    e = np.zeros_like(a)
+    for lay in net.layers:
+        n = lay.in_dim + 1
+        gamma = n * UNIT_ROUNDOFF / (1 - n * UNIT_ROUNDOFF)
+        w = np.abs(lay.weight)
+        u = a @ lay.weight.T
+        u += lay.bias
+        e_u = e @ w.T + gamma * (np.abs(a) @ w.T + np.abs(lay.bias))
+        a = Network([lay], lay.in_dim).eval_batch(a)
+        sq, th = _tags(lay) == "square", _tags(lay) == "tanh"
+        e = e_u.copy()
+        e[:, sq] = e_u[:, sq] * (2 * np.abs(u[:, sq]) + e_u[:, sq]) + UNIT_ROUNDOFF * a[:, sq]
+        e[:, th] = e_u[:, th] + 8 * UNIT_ROUNDOFF * np.abs(a[:, th])
+    return e
+
+
 @settings(max_examples=60, deadline=None)
 @given(gen=smooth_generators(), seed=st.integers(0, 2**32 - 1))
 def test_sweeps_match_reverse_mode(gen, seed):
     # the compiled step is c1 z + c2 J^T (G(z) - x), amortized and with x
-    # baked in
+    # baked in. The step network's function is held to reverse mode at 1e-9,
+    # and its float64 evaluation to that function within its rounding bound:
+    # a square-identity product a*b rounds to about u (|a| + |b|)^2, so where
+    # stacked square layers reach 1e8, a correct sweep's float64 output sits
+    # up to 3e-8 (relative) from reverse mode.
     d = gen.input_dim
     draws = np.random.default_rng(seed)
     Z = draws.normal(size=(6, d))
@@ -76,14 +140,19 @@ def test_sweeps_match_reverse_mode(gen, seed):
 
     scale = 1e3
     sx = np.broadcast_to(scale * x, Z.shape)
-    out = step_network(gen, c1, c2, x_scale=scale).eval_batch(np.hstack([Z, sx]))
-    assert relative_gap(out[:, :d], want) <= 1e-9
-    assert np.array_equal(out[:, d:], sx)
-
     carry = draws.normal(size=(6, 2))
-    out = step_network(gen, c1, c2, x_const=x, extra_carry=2).eval_batch(np.hstack([Z, carry]))
-    assert relative_gap(out[:, :d], want) <= 1e-9
-    assert np.array_equal(out[:, d:], carry)
+    cases = [
+        (step_network(gen, c1, c2, x_scale=scale), np.hstack([Z, sx]), sx),
+        (step_network(gen, c1, c2, x_const=x, extra_carry=2), np.hstack([Z, carry]), carry),
+    ]
+    for net, inputs, rides in cases:
+        out = net.eval_batch(inputs)
+        exact = exact_eval(net, inputs)
+        assert relative_gap(exact[:, :d], want) <= 1e-9
+        # exact was rounded once to float64
+        slack = rounding_bound(net, inputs) + UNIT_ROUNDOFF * np.abs(exact)
+        assert np.all(np.abs(out - exact) <= slack)
+        assert np.array_equal(out[:, d:], rides)
 
 
 def fixed_sweep_net(name, draws):

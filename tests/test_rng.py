@@ -113,15 +113,17 @@ def test_block_draw_prefixes(seed, stage, count, extra, draws, n):
     assert np.array_equal(s.normal_stages(stage, count + extra, draws, n), full[..., :n])
 
 
-def test_zero_stream_block_draw():
-    draws = np.arange(5, dtype=np.uint64)
-    z = ZeroStream().normal_stages(4, 3, draws, 2)
-    assert z.shape == (3, 5, 2)
-    assert not z.any()
+def test_zero_stream():
     # normal_blocks reads nothing but normal_stages, so chains see zero noise
-    blocks = list(normal_blocks(ZeroStream(), 4, 3, draws, 2, scale=0.5))
+    blocks = list(normal_blocks(ZeroStream(), 4, 3, np.arange(5, dtype=np.uint64), 2, scale=0.5))
     assert np.concatenate(blocks).shape == (3, 5, 2)
     assert not any(block.any() for block in blocks)
+
+
+def test_zero_stream_block_draw():
+    z = ZeroStream().normal_stages(4, 3, np.arange(5, dtype=np.uint64), 2)
+    assert z.shape == (3, 5, 2)
+    assert not z.any()
 
 
 def use_cpus(monkeypatch, cpus):
