@@ -63,7 +63,13 @@ from .nets import as_linear
 from .pipeline import build_problem, plan_pipeline, plan_truncated, run_planned_chains
 from .potential import check_inverse, diagnostics_report, refine_inverse, region_radius
 from .rng import NoiseStream
-from .verify import build_grid_oracle, chi2_initialization, gaussian_moment_test, linear_posterior
+from .verify import (
+    MAX_MOMENT_DIM,
+    build_grid_oracle,
+    chi2_initialization,
+    gaussian_moment_test,
+    linear_posterior,
+)
 
 
 # -- report plumbing ----------------------------------------------------------------
@@ -281,21 +287,20 @@ def cmd_verify(cfg: RunConfig) -> int:
             )
     problem = _problem_from_config(cfg)
     planned = plan_pipeline(problem, cfg.max_gd_steps, cfg.max_langevin_steps)
-    trace, reg = planned.trace, planned.region
 
     report = _report_header(cfg, "verify")
     # the Taylor and Hessian checks expand around an exact stationary point;
     # the descent output is only within m * radius / 4, so polish it first.
-    # chi2 below keeps trace.final: its subject is the actual chain start.
-    zhat = refine_inverse(problem, trace.final)
+    # chi2 below keeps the region's center: its subject is the actual chain start.
+    zhat = refine_inverse(problem, planned.trace.final)
     diag = diagnostics_report(problem, zhat, points=100, seed=cfg.seed)
     report["diagnostics"] = diag
 
     if problem.dim == 1:
-        report["chi2"] = chi2_initialization(problem, reg, trace.final)
+        report["chi2"] = chi2_initialization(problem, planned.region, planned.plan.init_radius)
 
     linear = as_linear(problem.model.generator)
-    if linear is not None and problem.dim <= 4:
+    if linear is not None and problem.dim <= MAX_MOMENT_DIM:
         A, b = linear
         mean, cov = linear_posterior(A, b, problem.beta, problem.x)
         # the 10% covariance gate needs the sampling noise sqrt(2/n) well

@@ -332,12 +332,7 @@ class CompiledEncoder:
 
     @property
     def stages(self) -> PipelineStages:
-        return PipelineStages(
-            gd_steps=self.gd_stage_count, langevin_steps=self.langevin_stage_count
-        )
-
-    def size(self) -> int:
-        return self.dlg.size()
+        return PipelineStages(self.gd_stage_count)
 
 
 # The scalar metadata fields in declaration order: save_encoder writes them in
@@ -469,7 +464,7 @@ def manifest(encoder: CompiledEncoder, generator: Network) -> dict:
         "parameter_count": dlg.size(),
         "generator_params": generator.size(),
         "gd_stage_params": dlg.stages[1][0].size() if S else None,
-        "langevin_stage_params": dlg.stages[S + 2][0].size() if K else None,
+        "langevin_stage_params": dlg.stages[encoder.stages.langevin_stage(0)][0].size() if K else None,
         "max_stage_depth": max(net.depth for net, _ in dlg.stages),
         "input_dim": dlg.input_dim,
         "output_dim": dlg.output_dim,

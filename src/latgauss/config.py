@@ -26,8 +26,10 @@ Schema (JSON object):
     constants_samples: int             # default 4096
     caps: { max_gd_steps: int, max_langevin_steps: int }  # defaults 1e6 / 1e7
     compile: { gd_steps: int, langevin_steps: int, amortized: bool }  # defaults 10 / 50 / true
-    chains: int                        # default 1000 (sample command)
-    samples: int                       # default 10000 (TV report)
+    chains: int                        # default 1000 (verify's exit and mixing experiments;
+                                       # the moment test runs at least 4000)
+    samples: int                       # default 10000 (chains the sample command runs,
+                                       # and verify's tv experiment)
     jobs: int                          # accepted for older configs; chains run in one batch
     out_dir: str                       # default "out"
     experiments: [str, ...]            # verify command extras, default none

@@ -92,7 +92,6 @@ def mixing_trend_experiment(
     planned: PipelinePlan,
     stream,
     chains: int = 4000,
-    snapshot_steps: list | None = None,
 ) -> dict:
     """TV decay of the planned chains, projected, against the restricted
     posterior.
@@ -100,18 +99,17 @@ def mixing_trend_experiment(
     Measures TV at five times and holds it against two properties: the
     sequence is non-increasing within Monte-Carlo slack, and each point stays
     below the envelope C exp(-t / (2 radius^2)) + allowance with C fitted at
-    the first measured point. Default snapshot times are log-spaced so the
-    early decay is visible before TV hits the histogram noise floor.
+    the first measured point. The snapshot times are log-spaced so the early
+    decay is visible before TV hits the histogram noise floor.
     """
     if problem.dim != 1:
         raise DimensionError("mixing trend experiment runs at dimension 1")
     plan = dataclasses.replace(planned.plan, projected=True)
-    if snapshot_steps is None:
-        K = plan.steps
-        # log-spaced from the very first step: the chain relaxes in about
-        # 1/(h * curvature) ~ 1/epsilon steps, so early times show the decay
-        # and the final time sits on the histogram noise floor
-        snapshot_steps = sorted({min(1, K), min(4, K), min(16, K), min(64, K), K})
+    K = plan.steps
+    # log-spaced from the very first step: the chain relaxes in about
+    # 1/(h * curvature) ~ 1/epsilon steps, so early times show the decay
+    # and the final time sits on the histogram noise floor
+    snapshot_steps = sorted({min(1, K), min(4, K), min(16, K), min(64, K), K})
     result = run_planned_chains(
         problem, planned._replace(plan=plan), stream, chains, snapshot_steps=snapshot_steps
     )

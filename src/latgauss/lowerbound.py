@@ -185,11 +185,6 @@ def _uniform(stream, stage: int) -> float:
     return float(stream.uniform_matrix(stage, np.zeros(1, dtype=np.uint64), 1)[0, 0])
 
 
-def failure_sentinel(d: int) -> np.ndarray:
-    """The all-ones vertex, returned when no retry hits the pre-image."""
-    return np.ones(d)
-
-
 def posterior_encoder(gen: SignGenerator):
     """Encoder sampling sgn(z) exactly from the orthant posterior.
 
@@ -244,7 +239,7 @@ def retry_invert(
             pattern = int(sign_pattern(z)[0])
             if gen.code(pattern) == target:
                 return pattern_to_vertex(pattern, gen.d)[0]
-    return failure_sentinel(gen.d)
+    return np.ones(gen.d)  # the all-ones sentinel: no retry hit the pre-image
 
 
 def retry_success_rate(

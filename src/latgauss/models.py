@@ -121,12 +121,13 @@ def sample_dlg_batch(
 # -- artifact IO ----------------------------------------------------------------
 
 
-def write_samples_csv(path, samples: np.ndarray, prefix: str = "z", sidecar: dict | None = None):
-    """CSV with one row per sample plus a .json sidecar describing provenance."""
+def write_samples_csv(path, samples: np.ndarray, sidecar: dict | None = None):
+    """CSV with a z0, z1, ... header and one row per sample, plus a .json
+    sidecar describing provenance."""
     samples = np.atleast_2d(np.asarray(samples, dtype=np.float64))
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow([f"{prefix}{j}" for j in range(samples.shape[1])])
+        writer.writerow([f"z{j}" for j in range(samples.shape[1])])
         for row in samples:
             writer.writerow([repr(float(v)) for v in row])
     meta = {"count": int(samples.shape[0]), "dim": int(samples.shape[1])}

@@ -23,7 +23,6 @@ import numpy as np
 
 from .errors import DimensionError, InvertibilityError, UnsupportedDifferentiation
 
-SMOOTH_ACTIVATIONS = ("identity", "tanh", "square")
 ELEMENTWISE_ACTIVATIONS = ("identity", "tanh", "square", "sign")
 
 _CODE = {name: i for i, name in enumerate(ELEMENTWISE_ACTIVATIONS)}
@@ -156,7 +155,7 @@ class Network:
     def __init__(self, layers: list, input_dim: int):
         if not layers:
             raise DimensionError("a network needs at least one layer")
-        self.layers = [l if isinstance(l, Layer) else Layer(*l) for l in layers]
+        self.layers = list(layers)
         self.input_dim = int(input_dim)
         prev = self.input_dim
         for i, layer in enumerate(self.layers):
@@ -301,13 +300,14 @@ def _spectral_normalized(A: np.ndarray) -> np.ndarray:
     return A / s if s > 0 else A
 
 
-def random_residual_tanh_net(d: int, seed: int, alpha: float = 0.5, hidden: int | None = None) -> Network:
-    """G(z) = z + alpha * A tanh(Bz + c) with ||A||_2 = ||B||_2 = 1.
+def random_residual_tanh_net(d: int, seed: int, alpha: float = 0.5) -> Network:
+    """G(z) = z + alpha * A tanh(Bz + c) with ||A||_2 = ||B||_2 = 1 and d + 2
+    hidden neurons.
 
     The Jacobian is I + alpha * A diag(tanh') B, so singular values stay in
     [1-alpha, 1+alpha]: strongly invertible for alpha < 1.
     """
-    h = hidden or d + 2
+    h = d + 2
     rng = _builder_stream(seed)
     B = _spectral_normalized(rng(h, d))
     A = _spectral_normalized(rng(d, h))
@@ -375,20 +375,32 @@ def _jacobian_at(net: Network, z: np.ndarray) -> np.ndarray:
     return net.jacobian_batch(z[None, :])[0]
 
 
-def second_derivative_tensor(net: Network, z: np.ndarray, step: float = 1e-4) -> np.ndarray:
-    """T[i, j, k] = d^2 G_i / dz_j dz_k via central differences of the Jacobian."""
+def _jacobian_differences(net: Network, z: np.ndarray) -> np.ndarray:
+    """Central differences of the Jacobian with step 1e-4, k-major: D[k][i, j]
+    ~= d^2 G_i / dz_j dz_k, and each D[k] is one contiguous slice. Both
+    second_derivative_tensor and potential.hess_potential read these.
+    """
+    step = 1e-4
     z = np.asarray(z, dtype=np.float64)
     d = net.input_dim
-    T = np.empty((net.output_dim, d, d))
+    D = np.empty((d, net.output_dim, d))
     for k in range(d):
         e = np.zeros(d)
         e[k] = step
-        T[:, :, k] = (_jacobian_at(net, z + e) - _jacobian_at(net, z - e)) / (2.0 * step)
+        D[k] = (_jacobian_at(net, z + e) - _jacobian_at(net, z - e)) / (2.0 * step)
+    return D
+
+
+def second_derivative_tensor(net: Network, z: np.ndarray) -> np.ndarray:
+    """T[i, j, k] = d^2 G_i / dz_j dz_k via central differences of the Jacobian."""
+    T = _jacobian_differences(net, z).transpose(1, 2, 0)
     return 0.5 * (T + T.transpose(0, 2, 1))
 
 
-def third_derivative_tensor(net: Network, z: np.ndarray, step: float = 1e-3) -> np.ndarray:
-    """T[i, j, k, l] = d^3 G_i / dz_j dz_k dz_l via second differences of the Jacobian."""
+def third_derivative_tensor(net: Network, z: np.ndarray) -> np.ndarray:
+    """T[i, j, k, l] = d^3 G_i / dz_j dz_k dz_l via second differences of the
+    Jacobian with step 1e-3."""
+    step = 1e-3
     z = np.asarray(z, dtype=np.float64)
     d = net.input_dim
     J0 = _jacobian_at(net, z)
@@ -424,9 +436,10 @@ def _row_norms(X: np.ndarray) -> np.ndarray:
     return np.sqrt((X[:, None, :] @ X[:, :, None])[:, 0, 0])
 
 
-def tensor_opnorm(T: np.ndarray, seed: int = 0, restarts: int = 4, iters: int = 40) -> np.ndarray:
+def tensor_opnorm(T: np.ndarray, seed: int = 0) -> np.ndarray:
     """sup over unit vectors of |T_i[u1, ..., up]| for each tensor T_i of a batch,
-    by alternating maximization; T has shape (n, d1, ..., dp), the result (n,).
+    by alternating maximization (4 restarts of 40 sweeps); T has shape
+    (n, d1, ..., dp), the result (n,).
 
     Every (restart, tensor) pair runs on one leading batch axis, with start
     vectors drawn once from the seed and shared by all tensors. A pair whose
@@ -440,6 +453,7 @@ def tensor_opnorm(T: np.ndarray, seed: int = 0, restarts: int = 4, iters: int = 
     """
     from .rng import NoiseStream
 
+    restarts, iters = 4, 40
     T = np.asarray(T, dtype=np.float64)
     n, shape = T.shape[0], T.shape[1:]
     order = len(shape)

@@ -7,6 +7,9 @@ center is the inverse, so the problem itself never changes. The CLI, the
 experiments and the compiler equivalence test all take that plan, and
 `run_planned_chains` draws the ball starts and runs the Langevin chains on
 one batch, so every caller consumes noise counters in exactly the same way.
+The chain start has one owner, the pair (region.center, plan.init_radius):
+`sampler.initialize_batch` and `verify.chi2_initialization` read both, and a
+compiled encoder keeps plan.init_radius for its ball-noise input.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from .nets import MapConstants, Network, estimate_constants
 from .potential import PosteriorProblem, RegionD, check_inverse, region
 from .sampler import (
     STEP_CAP_DEFAULT,
+    ChainRun,
     PipelineStages,
     SamplerPlan,
     initialize_batch,
@@ -62,16 +66,7 @@ class PipelinePlan(NamedTuple):
 
     @property
     def stages(self) -> PipelineStages:
-        return PipelineStages(self.gd_plan.steps, self.plan.steps)
-
-
-class ChainRun(NamedTuple):
-    """What one batch of planned chains produces."""
-
-    start: np.ndarray  # perturbed chain starts, shape (chains, d)
-    finals: np.ndarray
-    exited: np.ndarray
-    snapshots: dict
+        return PipelineStages(self.gd_plan.steps)
 
 
 def plan_pipeline(
@@ -147,8 +142,5 @@ def run_planned_chains(
     """
     stages = planned.stages
     idx = np.arange(chains, dtype=np.uint64)
-    Z0 = initialize_batch(problem, planned.region, planned.trace.final, stream, stages, idx)
-    finals, exited, snapshots = run_chains(
-        problem, planned.region, planned.plan, Z0, stream, stages, idx, snapshot_steps
-    )
-    return ChainRun(Z0, finals, exited, snapshots)
+    Z0 = initialize_batch(problem, planned.region, planned.plan, stream, stages, idx)
+    return run_chains(problem, planned.region, planned.plan, Z0, stream, stages, idx, snapshot_steps)

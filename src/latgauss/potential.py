@@ -25,9 +25,7 @@ import numpy as np
 
 from .errors import DimensionError, InitializationError, InvertibilityError
 from .models import LatentGaussian
-from .nets import MapConstants, _jacobian_at
-
-HESS_FD_STEP = 1e-4  # central-difference step for second generator derivatives
+from .nets import MapConstants, _jacobian_at, _jacobian_differences
 
 
 @dataclass
@@ -88,22 +86,19 @@ def grad_potential_batch(problem: PosteriorProblem, Z: np.ndarray) -> np.ndarray
 def hess_potential(problem: PosteriorProblem, z: np.ndarray) -> np.ndarray:
     """Hessian I + (J^T J + sum_i (G_i - x_i) Hess G_i) / beta^2.
 
-    Second generator derivatives come from central differences of the exact
-    Jacobian with the fixed documented step; the result is symmetrized.
+    Second generator derivatives are nets._jacobian_differences, the central
+    differences of the exact Jacobian behind second_derivative_tensor; the
+    result is symmetrized.
     """
     g = problem.model.generator
     z = np.asarray(z, dtype=np.float64)
-    d = problem.dim
     J = _jacobian_at(g, z)
     r = g.eval_batch(z[None, :])[0] - problem.x
     H = J.T @ J
-    for k in range(d):
-        e = np.zeros(d)
-        e[k] = HESS_FD_STEP
-        dJ = (_jacobian_at(g, z + e) - _jacobian_at(g, z - e)) / (2.0 * HESS_FD_STEP)
+    for k, dJ in enumerate(_jacobian_differences(g, z)):
         # dJ[i, j] ~= d^2 G_i / dz_j dz_k contributes r_i dJ[i, j] to H[j, k]
         H[:, k] += r @ dJ
-    H = H / problem.beta**2 + np.eye(d)
+    H = H / problem.beta**2 + np.eye(problem.dim)
     return 0.5 * (H + H.T)
 
 
@@ -179,8 +174,10 @@ def check_inverse(problem: PosteriorProblem, zhat: np.ndarray, validate: bool = 
     }
 
 
-def refine_inverse(problem: PosteriorProblem, z0: np.ndarray, tol: float = 1e-13, max_iter: int = 60) -> np.ndarray:
-    """Polish an approximate inverse to near machine precision by Newton steps.
+def refine_inverse(problem: PosteriorProblem, z0: np.ndarray) -> np.ndarray:
+    """Polish an approximate inverse to near machine precision: Newton steps
+    until the residual is at most 1e-13, and least squares when 60 steps or
+    a singular Jacobian stop them short.
 
     Diagnostic helper: the sampling pipeline itself only needs the gradient
     descent output, but local statements about the exact inverse (Taylor
@@ -189,9 +186,9 @@ def refine_inverse(problem: PosteriorProblem, z0: np.ndarray, tol: float = 1e-13
     """
     g = problem.model.generator
     z = np.asarray(z0, dtype=np.float64).copy()
-    for _ in range(max_iter):
+    for _ in range(60):
         r = g.eval_batch(z[None, :])[0] - problem.x
-        if np.linalg.norm(r) <= tol:
+        if np.linalg.norm(r) <= 1e-13:
             return z
         J = _jacobian_at(g, z)
         try:

@@ -16,8 +16,8 @@ the Euler chain's stationary variance is inflated by a factor up to two, which
 is measurably too coarse for the total-variation gates this package tests
 against. Both terms shrink polynomially in eps, matching the accuracy theory.
 
-Chains start at z_init + N where N is uniform in the ball of radius rad/4 and
-z_init is the descent output.
+Chains start at region.center + N, where the region's center is the descent
+output and N is uniform in the ball of the plan's init_radius, rad/4.
 
 Noise counters: Langevin step k of chain c draws at (stage_base + k, draw=c);
 the ball perturbation draws at (init_stage, draw=c). Stage numbering matches
@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from contextlib import closing
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -54,11 +55,10 @@ class PipelineStages:
     Stage 0 zeroes the latent input, stages 1..S are descent steps, stage S+1
     adds the ball perturbation, stages S+2..S+1+K are Langevin steps, and the
     last stage projects the carry channels away. Only the Langevin stages and
-    the perturbation consume noise.
+    the perturbation consume noise, so S alone fixes every counter.
     """
 
     gd_steps: int
-    langevin_steps: int
 
     @property
     def init_stage(self) -> int:
@@ -66,10 +66,6 @@ class PipelineStages:
 
     def langevin_stage(self, k: int) -> int:
         return self.gd_steps + 2 + k
-
-    @property
-    def total(self) -> int:
-        return self.gd_steps + self.langevin_steps + 3
 
 
 def make_sampler_plan(
@@ -115,23 +111,20 @@ def make_sampler_plan(
 def initialize_batch(
     problem: PosteriorProblem,
     region: RegionD,
-    z_init: np.ndarray,
+    plan: SamplerPlan,
     stream,
     stages: PipelineStages,
     chains: np.ndarray,
 ) -> np.ndarray:
-    """z_init plus a uniform ball perturbation of radius rad/4, one row per
-    chain index.
+    """The region's center plus a uniform ball perturbation of radius
+    plan.init_radius, one row per chain index.
 
-    Precondition: ||G(z_init) - x|| <= m * rad/4, which certifies
-    ||z_init - zhat|| <= rad/4. The plan that produced z_init has checked it
-    (pipeline.plan_pipeline and plan_truncated call potential.check_inverse).
+    Precondition: ||G(center) - x|| <= m * rad/4, which certifies
+    ||center - zhat|| <= rad/4. The plan that produced the region has checked
+    it (pipeline.plan_pipeline and plan_truncated call potential.check_inverse).
     """
-    z_init = np.asarray(z_init, dtype=np.float64)
-    noise = ball_points(
-        stream, stages.init_stage, chains, problem.dim, region.radius / 4.0
-    )
-    return z_init[None, :] + noise
+    noise = ball_points(stream, stages.init_stage, chains, problem.dim, plan.init_radius)
+    return region.center[None, :] + noise
 
 
 # -- chains ------------------------------------------------------------------------
@@ -145,6 +138,15 @@ def project_ball(Z: np.ndarray, center: np.ndarray, radius: float) -> np.ndarray
     return center + offset * scale
 
 
+class ChainRun(NamedTuple):
+    """What one batch of chains produces. finals stays field 0: the traced
+    benchmark run counts chain-steps from len(result[0])."""
+
+    finals: np.ndarray
+    exited: np.ndarray
+    snapshots: dict  # requested step index -> states at that step
+
+
 def run_chains(
     problem: PosteriorProblem,
     region: RegionD,
@@ -152,24 +154,21 @@ def run_chains(
     Z0: np.ndarray,
     stream,
     stages: PipelineStages,
-    chains: np.ndarray | None = None,
+    chains: np.ndarray,
     snapshot_steps: list | None = None,
-):
+) -> ChainRun:
     """Run many chains in lockstep (vectorized over the draw axis).
 
-    Returns (finals, exited, snapshots) where snapshots maps requested step
-    indices to state arrays. Chain c draws its step-k noise at counter
-    (stages.langevin_stage(k), draw=chains[c]); the noise for many steps is
-    drawn and scaled by sqrt(2h) in one block (rng.normal_blocks), bit for bit
-    the per-step draw. The gradient check and the snapshots run every step.
+    Chain c draws its step-k noise at counter (stages.langevin_stage(k),
+    draw=chains[c]); the noise for many steps is drawn and scaled by sqrt(2h)
+    in one block (rng.normal_blocks), bit for bit the per-step draw. The
+    gradient check and the snapshots run every step.
     The exit record does not: the state after each step goes into the noise
     row that step spent, and at the block's end the whole block is tested
     against the region in one pass; a chain has exited when any of its
     states, the start included, lay outside the region.
     """
     Z = np.asarray(Z0, dtype=np.float64).copy()
-    if chains is None:
-        chains = np.arange(len(Z), dtype=np.uint64)
     want = {int(s) for s in snapshot_steps or ()}
     snapshots = {0: Z.copy()} if 0 in want else {}
     center, radius = region.center, region.radius
@@ -213,5 +212,5 @@ def run_chains(
                     snapshots[k] = Z.copy()
             if not plan.projected:
                 record_exits(block)
-    return Z, exited, snapshots
+    return ChainRun(Z, exited, snapshots)
 

@@ -23,6 +23,7 @@ from .errors import DimensionError, SupportError
 from .potential import PosteriorProblem, RegionD, potential_batch
 
 MAX_TV_BINS = 50
+MAX_MOMENT_DIM = 4  # largest dimension gaussian_moment_test accepts
 
 
 # -- grid oracle -----------------------------------------------------------------
@@ -46,7 +47,6 @@ class GridOracle:
     axes: tuple
     weights: tuple
     density: np.ndarray
-    restricted: bool
 
     def bin_edges(self, axis: int) -> np.ndarray:
         return _bin_edges(self.center[axis], self.half_width)
@@ -102,7 +102,6 @@ def build_grid_oracle(
         axes=axes,
         weights=weights,
         density=dens,
-        restricted=restricted,
     )
     total = oracle.integral()
     if total <= 0.0:
@@ -141,25 +140,24 @@ def tv_distance(samples: np.ndarray, oracle: GridOracle) -> float:
 def chi2_initialization(
     problem: PosteriorProblem,
     region: RegionD,
-    z_init: np.ndarray,
+    ball_radius: float,
     grid_points: int = 20001,
-    ball_radius: float | None = None,
 ) -> dict:
     """Chi-square gate for the uniform-ball start against the target:
     {log_sqrt_chi2, bound, pass}, passing when log sqrt chi2 <= bound.
 
-    The start law P0 is Uniform(z_init +- ball_radius), default radius/4; the
-    target is the restricted posterior on the region. Requires dimension 1
-    (quadrature) and the start support nested inside the region. chi2 = 0
+    The start law P0 is Uniform(center +- ball_radius) around the region's
+    center, as sampler.initialize_batch draws it with the plan's init_radius;
+    the target is the restricted posterior on the region. Requires dimension
+    1 (quadrature) and the start support nested inside the region. chi2 = 0
     reports -inf for the log. The bound is d log 4 + (sup_D L - inf_D L)/2
     with sup/inf taken on the grid.
     """
     if problem.dim != 1:
         raise DimensionError("chi2_initialization supports dimension 1 only")
-    z_init = np.atleast_1d(np.asarray(z_init, dtype=np.float64))
-    r = region.radius / 4.0 if ball_radius is None else float(ball_radius)
+    r = float(ball_radius)
     c = float(region.center[0])
-    lo, hi = z_init[0] - r, z_init[0] + r
+    lo, hi = c - r, c + r
     if lo < c - region.radius or hi > c + region.radius:
         raise SupportError(
             "start ball escapes the region",
@@ -207,8 +205,8 @@ def gaussian_moment_test(samples: np.ndarray, mean: np.ndarray, cov: np.ndarray)
     """
     samples = np.atleast_2d(np.asarray(samples, dtype=np.float64))
     n, d = samples.shape
-    if d > 4:
-        raise DimensionError("moment test supports dimension <= 4")
+    if d > MAX_MOMENT_DIM:
+        raise DimensionError(f"moment test supports dimension <= {MAX_MOMENT_DIM}")
     if n < 100:
         raise ValueError("moment test needs at least 100 samples")
     mean = np.asarray(mean, dtype=np.float64)

@@ -314,9 +314,9 @@ def test_chi2_of_start_distribution_below_bound():
         x = np.array([0.4 + 0.8 * rng.uniform()])
         beta = 0.06 + 0.1 * rng.uniform()
         prob = build_problem(net, beta, x, constants_samples=512, constants_seed=i)
-        trace, reg, _, _ = plan_pipeline(prob)
+        _, reg, _, plan = plan_pipeline(prob)
         assert reg.admissible
-        chi2 = chi2_initialization(prob, reg, trace.final)
+        chi2 = chi2_initialization(prob, reg, plan.init_radius)
         log_sqrt_chi2, bound = chi2["log_sqrt_chi2"], chi2["bound"]
         assert log_sqrt_chi2 <= bound, f"problem {i}: {log_sqrt_chi2} > {bound}"
         worst_margin = min(worst_margin, bound - log_sqrt_chi2)

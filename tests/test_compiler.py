@@ -15,6 +15,7 @@ from latgauss.compiler import (
     DEFAULT_CARRY_SCALE,
     CompiledEncoder,
     compile_encoder,
+    encoder_inputs,
     equivalence_deviation,
     load_encoder,
     manifest,
@@ -27,6 +28,7 @@ from latgauss.models import DeepLatentGaussian
 from latgauss.nets import Layer, Network
 from latgauss.pipeline import plan_truncated
 from latgauss.rng import NoiseStream
+from latgauss.sampler import initialize_batch
 
 rng = np.random.default_rng(7)
 
@@ -223,6 +225,19 @@ def test_encoder_equivalence(amortized):
             assert not np.signbit(lay.bias[lay.bias == 0]).any()
 
 
+@pytest.mark.parametrize("amortized", [True, False])
+def test_encoder_inputs_start_where_the_chains_start(amortized):
+    # the region's center plus the encoder's ball-noise input columns are the
+    # direct chains' starts bit for bit, not only within the equivalence gate
+    problem, planned = compiled_setup()
+    enc = compile_encoder(problem, planned.gd_plan, planned.plan, amortized=amortized)
+    draws = np.arange(16, dtype=np.uint64) * 3 + 1
+    direct = initialize_batch(problem, planned.region, planned.plan, NoiseStream(4), planned.stages, draws)
+    noise = encoder_inputs(enc, problem.x, NoiseStream(4), draws)[:, -problem.dim :]
+    assert np.array_equal(planned.region.center + noise, direct)
+    assert not np.array_equal(direct[0], direct[1])
+
+
 def round_trip(enc, tmp):
     """save -> load -> save: every metadata field survives and the second
     file has the first one's bytes. Returns the loaded encoder."""
@@ -287,7 +302,7 @@ def test_encoder_round_trip_bitwise_on_random_smooth_stages(enc, seed):
     for (net, var), (net2, var2) in zip(enc.dlg.stages, enc2.dlg.stages):
         assert var2 == var
         assert np.array_equal(net2.eval_batch(Z), net.eval_batch(Z))
-    assert enc2.size() == enc.size()
+    assert enc2.dlg.size() == enc.dlg.size()
 
 
 def test_encoder_samples_do_not_depend_on_noise_block_size(monkeypatch):

@@ -303,7 +303,7 @@ def test_tensor_opnorm_batch_skips_rest_of_sweep_on_zero_contraction(d, order, r
     [
         tanh_residual_net(1),
         tanh_residual_net(2),
-        random_residual_tanh_net(4, seed=0, alpha=0.2, hidden=6),
+        random_residual_tanh_net(4, seed=0, alpha=0.2),
     ],
     ids=["tanh-d1", "tanh-d2", "residual-d4"],
 )

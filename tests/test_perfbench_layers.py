@@ -1,12 +1,14 @@
 """The traced benchmark run (perfbench/layers.py) wraps latgauss functions by
 module and attribute name, and counts chain-steps from run_chains' positional
-plan argument. These checks keep a rename or a call-site change in the
+plan argument and the finals its result leads with. These checks keep a rename or a call-site change in the
 package from silently dropping a per-layer metric."""
 
 import ast
 import importlib
 import importlib.util
 from pathlib import Path
+
+from latgauss.sampler import ChainRun
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -36,3 +38,8 @@ def test_run_chains_calls_pass_plan_positionally():
                 calls += 1
                 assert len(node.args) >= 4, f"{path.name}:{node.lineno}"
     assert calls > 0
+
+
+def test_run_chains_result_leads_with_finals():
+    # layers._chain_steps counts chain-steps as plan.steps * len(result[0])
+    assert ChainRun._fields[0] == "finals"

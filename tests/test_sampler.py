@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -85,9 +87,9 @@ def test_plan_too_large_suggests_epsilon():
 def test_initialize_ball_and_precondition():
     prob = identity_problem(d=2, x=[0.5, 0.5])
     reg = prepared(prob)
-    stages = PipelineStages(5, 10)
+    stages = PipelineStages(5)
     idx = np.arange(500, dtype=np.uint64)
-    Z0 = initialize_batch(prob, reg, reg.center, NoiseStream(3), stages, idx)
+    Z0 = initialize_batch(prob, reg, make_sampler_plan(prob, reg), NoiseStream(3), stages, idx)
     r = np.linalg.norm(Z0 - reg.center, axis=1)
     assert np.all(r <= reg.radius / 4.0 + 1e-12)
 
@@ -98,7 +100,7 @@ def test_langevin_step_formula():
     reg = synthetic_region([0.0], 10.0)
     h = 0.01
     one_step = SamplerPlan(horizon=h, h=h, steps=1, init_radius=2.5, projected=False)
-    stages = PipelineStages(3, 1)
+    stages = PipelineStages(3)
     Z = np.array([[1.0], [-0.4], [0.25]])
     idx = np.array([0, 5, 9], dtype=np.uint64)
     stream = NoiseStream(4)
@@ -131,9 +133,9 @@ def test_chains_match_conjugate_posterior_moments():
     prob = identity_problem(d=1, beta=0.5, x=[0.8])
     reg = prepared(prob)
     plan = truncated(make_sampler_plan(prob, reg), 2000)
-    stages = PipelineStages(1, plan.steps)
+    stages = PipelineStages(1)
     idx = np.arange(4000, dtype=np.uint64)
-    Z0 = initialize_batch(prob, reg, reg.center, NoiseStream(7), stages, idx)
+    Z0 = initialize_batch(prob, reg, plan, NoiseStream(7), stages, idx)
     finals, exited, _ = run_chains(prob, reg, plan, Z0, NoiseStream(7), stages, chains=idx)
     mean = 0.8 / 1.25
     var = 0.25 / 1.25
@@ -146,9 +148,9 @@ def test_projected_chains_stay_inside():
     prob = tanh_problem(d=2, x=[0.6, -0.2])
     reg = prepared(prob)
     plan = truncated(make_sampler_plan(prob, reg), 3000, projected=True)
-    stages = PipelineStages(1, plan.steps)
+    stages = PipelineStages(1)
     idx = np.arange(64, dtype=np.uint64)
-    Z0 = initialize_batch(prob, reg, reg.center, NoiseStream(11), stages, idx)
+    Z0 = initialize_batch(prob, reg, plan, NoiseStream(11), stages, idx)
     finals, exited, snaps = run_chains(
         prob, reg, plan, Z0, NoiseStream(11), stages, chains=idx, snapshot_steps=[plan.steps // 2]
     )
@@ -163,7 +165,7 @@ def test_noise_off_descends_to_mode():
     prob = identity_problem(d=1, beta=0.5, x=[0.8])
     reg = prepared(prob)
     plan = SamplerPlan(horizon=10.0, h=0.05, steps=200, init_radius=reg.radius / 4, projected=False)
-    stages = PipelineStages(1, plan.steps)
+    stages = PipelineStages(1)
     Z0 = reg.center[None, :] + 0.2 * reg.radius
     finals, _, _ = run_chains(
         prob, reg, plan, Z0, ZeroStream(), stages, chains=np.array([0], dtype=np.uint64)
@@ -172,11 +174,10 @@ def test_noise_off_descends_to_mode():
 
 
 def test_stage_numbering():
-    st = PipelineStages(gd_steps=4, langevin_steps=10)
+    st = PipelineStages(gd_steps=4)
     assert st.init_stage == 5
     assert st.langevin_stage(0) == 6
     assert st.langevin_stage(9) == 15
-    assert st.total == 17
 
 
 def per_step_chains(prob, reg, plan, Z0, stream, stages, idx):
@@ -208,9 +209,10 @@ def test_chains_do_not_depend_on_noise_block_size(monkeypatch, projected):
     planned = prepared(prob)
     reg = synthetic_region(planned.center, 0.15)
     plan = truncated(make_sampler_plan(prob, planned), 60, projected)
-    stages = PipelineStages(2, plan.steps)
+    plan = dataclasses.replace(plan, init_radius=reg.radius / 4)  # starts inside the 0.15 ball
+    stages = PipelineStages(2)
     idx = np.arange(10, dtype=np.uint64) * 3 + 1
-    Z0 = initialize_batch(prob, reg, reg.center, NoiseStream(5), stages, idx)
+    Z0 = initialize_batch(prob, reg, plan, NoiseStream(5), stages, idx)
     want = [0, 1, 6, 7, 30, 60]
     runs = []
     # one stage per block, ragged blocks of 7 stages, one block for the plan
@@ -237,7 +239,7 @@ def test_blowup_mid_block_reports_its_step_and_state(monkeypatch):
     prob = identity_problem(d=1, beta=0.5, x=[0.8])
     reg = synthetic_region([0.64], 1.0)
     plan = SamplerPlan(horizon=30000.0, h=100.0, steps=300, init_radius=0.25, projected=False)
-    stages = PipelineStages(1, plan.steps)
+    stages = PipelineStages(1)
     idx = np.arange(4, dtype=np.uint64)
     Z0 = np.array([[0.5], [0.7], [0.6], [0.9]])
     payloads = []
@@ -261,12 +263,12 @@ def split_setup():
     net = random_residual_tanh_net(2, seed=2, alpha=0.3)
     prob = PosteriorProblem(LatentGaussian(net, 0.1), np.array([0.5, 0.5]), MapConstants(0.7, 1.3, 0.3, 0.6))
     reg = synthetic_region(refine_inverse(prob, np.zeros(2)), 0.1)
-    return prob, reg, PipelineStages(3, 40)
+    return prob, reg, PipelineStages(3)
 
 
 def chain_outputs(prob, reg, projected, stages, idx):
     plan = SamplerPlan(horizon=0.04, h=1e-3, steps=40, init_radius=0.025, projected=projected)
-    Z0 = initialize_batch(prob, reg, reg.center, NoiseStream(8), stages, idx)
+    Z0 = initialize_batch(prob, reg, plan, NoiseStream(8), stages, idx)
     finals, exited, snaps = run_chains(prob, reg, plan, Z0, NoiseStream(8), stages, idx, SPLIT_SNAPSHOTS)
     return [Z0, finals, exited] + [snaps[s] for s in SPLIT_SNAPSHOTS]
 
