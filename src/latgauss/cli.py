@@ -28,6 +28,7 @@ are the same bit for bit.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import datetime
 import hashlib
 import json
@@ -190,15 +191,25 @@ def cmd_sample(cfg: RunConfig) -> int:
     )
 
     exit_block = exit_gate(result.exited, problem.epsilon)
+    plan, reg = planned.plan, planned.region
     report = _report_header(cfg, "sample")
     report.update(
         {
             "plan": {
                 "gd_steps": planned.gd_plan.steps,
-                "langevin_steps": planned.plan.steps,
-                "h": planned.plan.h,
-                "horizon": planned.plan.horizon,
-                "init_radius": planned.plan.init_radius,
+                "langevin_steps": plan.steps,
+                "h": plan.h,
+                "horizon": plan.horizon,
+                "init_radius": plan.init_radius,
+                "paper_steps": plan.paper_steps,
+                "paper_horizon": plan.paper_horizon,
+                "curvature": dataclasses.asdict(plan.curvature),
+                "constants_estimated": problem.constants.estimated,
+            },
+            "region": {
+                "radius": reg.radius,
+                "admissible": reg.admissible,
+                "radius_within_cap": reg.radius_within_cap,
             },
             "samples_csv": samples_path,
             "exit": exit_block,

@@ -463,7 +463,7 @@ def manifest(encoder: CompiledEncoder, generator: Network) -> dict:
         "total_stages": len(dlg.stages),
         "parameter_count": dlg.size(),
         "generator_params": generator.size(),
-        "gd_stage_params": dlg.stages[1][0].size() if S else None,
+        "gd_stage_params": dlg.stages[encoder.stages.gd_stage(0)][0].size() if S else None,
         "langevin_stage_params": dlg.stages[encoder.stages.langevin_stage(0)][0].size() if K else None,
         "max_stage_depth": max(net.depth for net, _ in dlg.stages),
         "input_dim": dlg.input_dim,

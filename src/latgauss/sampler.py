@@ -5,16 +5,57 @@ The chain discretizes dz = -grad L(z) dt + sqrt(2) dB by Euler steps
     z' = z - h grad L(z) + sqrt(2 h) xi,      xi ~ N(0, I_d),
 
 optionally followed by projection onto the effective ball D (the reflected
-variant). Plans fix the horizon and step:
+variant). Plans fix the step, the horizon and the step count:
 
-    T = (2 rad)^2 * log(1/eps)
     h = min(eps * beta^2 / (M^2 + m^2),  rad^2 eps^2 / max(d, 1))
+    T = min(T_paper, T_curv),    T_paper = (2 rad)^2 * log(1/eps)
     K = ceil(T / h)
 
 The first step term keeps h * ||Hess L|| <= eps; with h * ||Hess|| near one
 the Euler chain's stationary variance is inflated by a factor up to two, which
 is measurably too coarse for the total-variation gates this package tests
 against. Both terms shrink polynomially in eps, matching the accuracy theory.
+For a strongly convex potential the Euler chain's bias against the diffusion
+it discretizes is set by h and does not grow with the horizon, so h keeps its
+terms whichever horizon the plan takes.
+
+T_paper is the paper's horizon; it leans only on the prior's 1-strong
+convexity. T_curv is the warm-start horizon of a strongly convex, smooth
+potential (Dalalyan 2017; Durmus & Moulines 2017), from the curvature of L on
+D = B(c, rad), c the region's center:
+
+* Hessian bounds. Hess L = I + (J^T J + sum_i r_i Hess G_i) / beta^2 with
+  r = G(z) - x. On D, ||r|| <= r_G = ||G(c) - x|| + M rad, J^T J lies
+  between m^2 and M^2, and the tensor sum's norm is at most M2 ||r||, so
+
+      alpha_D = 1 + (m^2 - M2 r_G) / beta^2  <=  Hess L  <=  1 + (M^2 + M2 r_G) / beta^2 = L_D.
+
+  When alpha_D <= 1 the region is no more curved than the prior, and T_paper
+  stands.
+* Mode distance. A few Newton steps on grad L from c give z~. An
+  alpha_D-strongly convex L has its minimizer z* within ||grad L(z~)|| /
+  alpha_D of z~, so ||c - z*|| <= delta = ||c - z~|| + ||grad L(z~)|| / alpha_D.
+  The start ball B(c, r0), r0 = init_radius, and the mode must lie inside D:
+  when r0 + delta >= rad, T_paper stands.
+* Start chi-square. The start law is uniform on B(c, r0) and the target is
+  the posterior restricted to D. On B(c, r0), L <= L(z*) + (L_D/2)(r0 + delta)^2,
+  and the target's normalizer is at most e^{-L(z*)} (2 pi / alpha_D)^{d/2}, so
+
+      log(1 + chi2_0) <= (L_D/2)(r0 + delta)^2 + (d/2) log(2 pi / alpha_D) - log vol_d(r0).
+
+* Decay. The restricted target satisfies a Poincare inequality with constant
+  1/alpha_D (Bakry-Emery on the convex D), so chi2 decays at rate 2 alpha_D,
+  chi2_T <= e^{-2 alpha_D T} chi2_0, and TV_T <= sqrt(chi2_T) / 2. Holding
+  e^{-alpha_D T} sqrt(chi2_0) / 2 to eps/4, the mixing share of the error
+  budget (the others: eps/4 of the mass outside D, eps/4 of exits, and the
+  discretization's share that h holds), gives
+
+      T_curv = (log(1 + chi2_0) / 2 + log(2 / eps)) / alpha_D.
+
+The bounds are only as good as m, M and M2: sampled constants
+(MapConstants.estimated) are inner estimates, so alpha_D and T_curv are as
+optimistic as they are. The sample report says which constants the plan
+trusts.
 
 Chains start at region.center + N, where the region's center is the descent
 output and N is uniform in the ball of the plan's init_radius, rad/4.
@@ -26,6 +67,7 @@ the compiled encoder's stage positions so both consume identical noise words.
 
 from __future__ import annotations
 
+import math
 from contextlib import closing
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -33,10 +75,26 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DegeneratePlan, NumericalBlowup, PlanTooLarge
-from .potential import PosteriorProblem, RegionD, grad_potential_batch
+from .potential import PosteriorProblem, RegionD, grad_potential_batch, hess_potential
 from .rng import ball_points, normal_blocks
 
 STEP_CAP_DEFAULT = 10**7
+_MODE_NEWTON_STEPS = 4  # Newton steps from the region's center toward the mode
+
+
+@dataclass
+class RegionCurvature:
+    """The curvature horizon and what it rests on (see the module docstring).
+    mode_distance, log_chi2_bound and horizon are None where an earlier
+    condition already left the plan on the paper's horizon."""
+
+    alpha_D: float
+    L_D: float
+    r_G: float
+    mode_distance: float | None
+    log_chi2_bound: float | None
+    horizon: float | None  # T_curv
+    used: bool  # T_curv < T_paper
 
 
 @dataclass
@@ -46,6 +104,13 @@ class SamplerPlan:
     steps: int  # K
     init_radius: float  # rad/4, radius of the start perturbation ball
     projected: bool
+    # the horizon's basis, set by make_sampler_plan; None on a hand-built plan
+    paper_horizon: float | None = None  # T_paper
+    curvature: RegionCurvature | None = None
+
+    @property
+    def paper_steps(self) -> int:
+        return int(np.ceil(self.paper_horizon / self.h))
 
 
 @dataclass
@@ -60,6 +125,9 @@ class PipelineStages:
 
     gd_steps: int
 
+    def gd_stage(self, s: int) -> int:
+        return 1 + s
+
     @property
     def init_stage(self) -> int:
         return self.gd_steps + 1
@@ -68,24 +136,67 @@ class PipelineStages:
         return self.gd_steps + 2 + k
 
 
+def _grad_at(problem: PosteriorProblem, z: np.ndarray) -> np.ndarray:
+    # a doubled row, as run_chains evaluates a lone chain
+    return grad_potential_batch(problem, np.repeat(z[None, :], 2, axis=0))[0]
+
+
+def region_curvature(problem: PosteriorProblem, region: RegionD, init_radius: float) -> RegionCurvature:
+    """alpha_D, L_D and the curvature horizon T_curv of the region, from the
+    problem's constants (module docstring); make_sampler_plan sets used."""
+    c = problem.constants
+    beta2 = problem.beta**2
+    center = region.center
+    residual = problem.model.generator.eval_batch(center[None, :])[0] - problem.x
+    r_G = float(np.linalg.norm(residual) + c.M * region.radius)
+    alpha = float(1.0 + (c.m**2 - c.M2 * r_G) / beta2)
+    smooth = float(1.0 + (c.M**2 + c.M2 * r_G) / beta2)
+    curvature = RegionCurvature(alpha, smooth, r_G, None, None, None, False)
+    if alpha <= 1.0:
+        return curvature
+    z = center.copy()
+    try:
+        for _ in range(_MODE_NEWTON_STEPS):
+            z = z - np.linalg.solve(hess_potential(problem, z), _grad_at(problem, z))
+    except np.linalg.LinAlgError:
+        return curvature
+    delta = float(np.linalg.norm(center - z) + np.linalg.norm(_grad_at(problem, z)) / alpha)
+    curvature.mode_distance = delta if np.isfinite(delta) else None
+    reach = init_radius + delta
+    if not reach < region.radius:  # a non-finite delta fails here too
+        return curvature
+    d = problem.dim
+    log_ball = 0.5 * d * math.log(math.pi) + d * math.log(init_radius) - math.lgamma(0.5 * d + 1.0)
+    log_chi2 = 0.5 * smooth * reach**2 + 0.5 * d * math.log(2.0 * math.pi / alpha) - log_ball
+    horizon = (0.5 * log_chi2 + math.log(2.0 / problem.epsilon)) / alpha
+    curvature.log_chi2_bound = float(log_chi2)
+    curvature.horizon = float(horizon)
+    return curvature
+
+
 def make_sampler_plan(
     problem: PosteriorProblem,
     region: RegionD,
     step_cap: int = STEP_CAP_DEFAULT,
 ) -> SamplerPlan:
-    """Unprojected plan from the displayed formulas."""
+    """Unprojected plan from the displayed formulas: the paper's horizon, or
+    the region's curvature horizon where that is shorter."""
     c = problem.constants
     eps = problem.epsilon
     rad = region.radius
-    horizon = (2.0 * rad) ** 2 * np.log(1.0 / eps)
+    init_radius = rad / 4.0
+    paper_horizon = (2.0 * rad) ** 2 * np.log(1.0 / eps)
     h = min(
         eps * problem.beta**2 / (c.M**2 + c.m**2),
         rad**2 * eps**2 / max(problem.dim, 1),
     )
-    if horizon <= 0.0 or h <= 0.0:
+    if paper_horizon <= 0.0 or h <= 0.0:
         raise DegeneratePlan(
-            "planned horizon or step collapsed to zero", horizon=horizon, h=h
+            "planned horizon or step collapsed to zero", horizon=paper_horizon, h=h
         )
+    curvature = region_curvature(problem, region, init_radius)
+    curvature.used = bool(curvature.horizon is not None and curvature.horizon < paper_horizon)
+    horizon = curvature.horizon if curvature.used else paper_horizon
     steps = int(np.ceil(horizon / h))
     if steps > step_cap:
         raise PlanTooLarge(
@@ -100,8 +211,10 @@ def make_sampler_plan(
         horizon=float(horizon),
         h=float(h),
         steps=steps,
-        init_radius=region.radius / 4.0,
+        init_radius=init_radius,
         projected=False,
+        paper_horizon=float(paper_horizon),
+        curvature=curvature,
     )
 
 

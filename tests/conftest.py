@@ -7,9 +7,19 @@ from latgauss.potential import PosteriorProblem, grad_potential_batch
 
 
 def tanh_constants(alpha=0.5):
-    # z + a tanh(z) per coordinate: G' in [1, 1+a]; |G''| <= a 4/(3 sqrt 3);
-    # |G'''| <= 2a (attained at 0). 0.77 rounds the G'' bound up.
-    return MapConstants(m=1.0, M=1.0 + alpha, M2=0.77 * alpha, M3=2.0 * alpha)
+    # z + a tanh(z) per coordinate: G' lies between 1 and 1 + a, so m = 1 for
+    # a > 0 and 1 - |a| for a < 0; |G''| <= |a| 4/(3 sqrt 3); |G'''| <= 2|a|
+    # (attained at 0). 0.77 rounds the G'' bound up.
+    a = abs(alpha)
+    return MapConstants(m=min(1.0, 1.0 + alpha), M=1.0 + a, M2=0.77 * a, M3=2.0 * a)
+
+
+def residual_constants(alpha):
+    # z + a A tanh(Bz + c) with ||A||_2 = ||B||_2 = 1 (random_residual_tanh_net):
+    # Jacobian singular values in [1 - |a|, 1 + |a|], and the derivative
+    # tensors obey the bounds of tanh_constants
+    a = abs(alpha)
+    return MapConstants(m=1.0 - a, M=1.0 + a, M2=0.77 * a, M3=2.0 * a)
 
 
 TANH_CONSTANTS = tanh_constants(0.5)

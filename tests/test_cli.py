@@ -231,15 +231,16 @@ def test_compile_failing_self_test_writes_no_encoder(tmp_path, capsys, monkeypat
 
 
 def test_compile_rejects_plan_over_cap(tmp_path, capsys):
-    # the cap is checked against the FULL plan the problem calls for, so a
-    # low cap yields a PlanTooLarge with an epsilon suggestion
+    # the cap is checked against the FULL plan the problem calls for (119
+    # steps on the curvature horizon), so a cap between the compiled count
+    # and the plan yields a PlanTooLarge with an epsilon suggestion
     cfgp = write_config(
         tmp_path,
         "c.json",
         {"generator": {"builtin": "identity"}, "d": 1, "beta": 0.1,
          "constants": IDENTITY_CONSTANTS,
-         "caps": {"max_langevin_steps": 1000},
-         "compile": {"gd_steps": 5, "langevin_steps": 500}},
+         "caps": {"max_langevin_steps": 100},
+         "compile": {"gd_steps": 5, "langevin_steps": 50}},
     )
     assert run(["compile", "--config", cfgp, "--out", str(tmp_path / "o")]) == 1
     err = json.loads(capsys.readouterr().out)
@@ -374,8 +375,8 @@ def test_lowerbound_values_are_config_errors(tmp_path, capsys):
 
 
 def test_sample_leaves_no_noise_worker(tmp_path, monkeypatch):
-    # 256 chains at d = 1 make noise blocks of 256 stages, and the plan's
-    # 1045 steps span five of them, so that on two CPUs a worker draws them
+    # 1024 chains at d = 1 make noise blocks of 64 stages, and the plan's
+    # 119 steps span two of them, so that on two CPUs a worker draws them
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     drawn_on = set()
     normal_stages = NoiseStream.normal_stages
@@ -388,10 +389,11 @@ def test_sample_leaves_no_noise_worker(tmp_path, monkeypatch):
     cfgp = write_config(
         tmp_path,
         "c.json",
-        {"generator": {"builtin": "identity"}, "d": 1, "beta": 0.1, "epsilon": 0.5,
-         "x": [0.3], "constants": IDENTITY_CONSTANTS, "samples": 256},
+        {"generator": {"builtin": "tanh-residual"}, "d": 1, "beta": 0.1, "epsilon": 0.5,
+         "x": [0.3], "constants": TANH_CONSTANTS, "samples": 1024},
     )
     assert run(["sample", "--config", cfgp, "--out", str(tmp_path / "out")]) == 0
+    assert read_json(tmp_path / "out" / "sample_report.json")["plan"]["langevin_steps"] == 119
     assert any(name.startswith("latgauss-noise") for name in drawn_on)
     assert not [t for t in threading.enumerate() if t.name.startswith("latgauss-noise")]
 

@@ -117,7 +117,7 @@ def test_pipeline_repeatable_for_fixed_seed():
 
 def test_exit_fraction_experiment_contract():
     prob = identity_problem(d=1)
-    rep = exit_fraction_experiment(prob, shortened(prob, 600), NoiseStream(21), chains=400)
+    rep = exit_fraction_experiment(prob, plan_pipeline(prob), NoiseStream(21), chains=400)
     assert rep["pass"]
     assert rep["threshold"] == pytest.approx(
         0.1 / 4 + 2 * np.sqrt(0.1 / (4 * 400))
@@ -127,7 +127,7 @@ def test_exit_fraction_experiment_contract():
 
 def test_posterior_tv_experiment_small_run():
     prob = identity_problem(d=1)
-    rep = posterior_tv_experiment(prob, shortened(prob, 3000), NoiseStream(22), samples=4000)
+    rep = posterior_tv_experiment(prob, plan_pipeline(prob), NoiseStream(22), samples=4000)
     assert rep["pass"]
     assert rep["tv"] <= rep["threshold"] == pytest.approx(0.08)
 
@@ -140,14 +140,14 @@ def test_posterior_tv_requires_dimension_one():
 
 def test_mixing_trend_experiment_small_run():
     prob = identity_problem(d=1)
-    planned = shortened(prob, 1200)
+    planned = plan_pipeline(prob)  # 119 steps on the curvature horizon
     rep = mixing_trend_experiment(prob, planned, NoiseStream(23), chains=3000)
     assert rep["pass"]
-    assert rep["steps"] == [1, 4, 16, 64, 1200]
+    assert rep["steps"] == [1, 4, 16, 64, 119]
     assert len(rep["tv"]) == 5 == len(rep["envelope"])
     assert rep["non_increasing"] and rep["below_envelope"]
     assert rep["tv"][-1] < rep["tv"][0]
-    assert rep["times"][-1] == 1200 * planned.plan.h
+    assert rep["times"][-1] == 119 * planned.plan.h
     assert not planned.plan.projected  # the experiment projects a copy
 
 

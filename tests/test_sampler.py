@@ -5,25 +5,29 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import identity_problem, tanh_problem
-from latgauss import rng
+from conftest import grad_at, identity_problem, residual_constants, tanh_constants, tanh_problem
+from latgauss import rng, sampler
 from latgauss.errors import DegeneratePlan, NumericalBlowup, PlanTooLarge
 from latgauss.models import LatentGaussian
-from latgauss.nets import MapConstants, random_residual_tanh_net
+from latgauss.nets import MapConstants, random_residual_tanh_net, tanh_residual_net
+from latgauss.pipeline import build_problem, plan_pipeline, run_planned_chains
 from latgauss.potential import (
     PosteriorProblem,
     RegionD,
     grad_potential_batch,
+    hess_potential,
     refine_inverse,
     region,
 )
-from latgauss.rng import NoiseStream, ZeroStream
+from latgauss.rng import NoiseStream, ZeroStream, ball_points
+from latgauss.verify import chi2_initialization
 from latgauss.sampler import (
     PipelineStages,
     SamplerPlan,
     initialize_batch,
     make_sampler_plan,
     project_ball,
+    region_curvature,
     run_chains,
 )
 
@@ -44,23 +48,125 @@ def prepared(problem):
 
 
 def test_plan_worked_example():
-    # d=1, m=M=1, beta=0.1, radius=0.2, eps=0.1:
+    # d=1, m=M=1, M2=0, beta=0.1, radius=0.2, eps=0.1, centered on the mode:
     # h = min(eps beta^2/(M^2+m^2), radius^2 eps^2) = min(5e-4, 4e-4) = 4e-4
+    # T_paper = (2 radius)^2 log(1/eps) = 0.16 log 10 = 0.368, 922 steps
+    # alpha_D = L_D = 1 + 1/beta^2 = 101, r_G = 0 + M radius = 0.2, delta = 0
+    # log(1 + chi2_0) <= (101/2) 0.05^2 + log(2 pi/101)/2 - log(2 * 0.05) = 0.977
+    # T_curv = (0.977/2 + log(2/eps))/101 = 0.0348, 88 steps
     prob = identity_problem(d=1, beta=0.1, x=[0.0], epsilon=0.1)
     reg = synthetic_region([0.0], 0.2)
     plan = make_sampler_plan(prob, reg)
     assert plan.h == pytest.approx(4e-4)
-    want_T = 0.16 * np.log(10.0)
-    assert plan.horizon == pytest.approx(want_T)
-    assert plan.steps == int(np.ceil(want_T / plan.h))
+    assert plan.paper_horizon == pytest.approx(0.16 * np.log(10.0))
+    assert plan.paper_steps == 922
+    cv = plan.curvature
+    assert cv.alpha_D == pytest.approx(101.0) and cv.L_D == pytest.approx(101.0)
+    assert cv.r_G == pytest.approx(0.2)
+    assert cv.mode_distance == pytest.approx(0.0, abs=1e-15)
+    want_chi2 = 101.0 / 2 * 0.05**2 + 0.5 * np.log(2 * np.pi / 101.0) - np.log(0.1)
+    assert cv.log_chi2_bound == pytest.approx(want_chi2)
+    want_T = (want_chi2 / 2 + np.log(20.0)) / 101.0
+    assert cv.used and plan.horizon == cv.horizon == pytest.approx(want_T)
+    assert plan.steps == int(np.ceil(want_T / plan.h)) == 88
     assert plan.init_radius == pytest.approx(0.05)
 
 
 def test_horizon_formula():
+    # centered at 0 against x = 0.9, the mode x / (1 + beta^2) = 0.891 lies
+    # outside the 0.27 region, so the paper's horizon stands
     prob = identity_problem(d=1, epsilon=0.1)
     reg = synthetic_region([0.0], 0.27)
     plan = make_sampler_plan(prob, reg)
-    assert plan.horizon == pytest.approx(0.54**2 * np.log(10.0))
+    assert plan.curvature.mode_distance == pytest.approx(0.9 / 1.01)
+    assert plan.curvature.horizon is None and not plan.curvature.used
+    assert plan.horizon == plan.paper_horizon == pytest.approx(0.54**2 * np.log(10.0))
+    assert plan.steps == plan.paper_steps
+
+
+def test_flat_region_keeps_the_paper_horizon():
+    # M2 r_G above m^2: the bounds leave D no more curved than the prior
+    net = tanh_residual_net(1, 0.5)
+    prob = PosteriorProblem(LatentGaussian(net, 0.1), np.array([0.9]), MapConstants(1.0, 1.5, 3.0, 1.0))
+    reg = prepared(prob)
+    plan = make_sampler_plan(prob, reg)
+    cv = plan.curvature
+    assert cv.alpha_D <= 1.0 and cv.mode_distance is None and not cv.used
+    assert plan.horizon == plan.paper_horizon == (2.0 * reg.radius) ** 2 * np.log(10.0)
+
+
+def test_chi2_bound_covers_the_start_quadrature():
+    # the README config with exact constants: the plan's bound on
+    # log(1 + chi2) of the start against the restricted target is at least
+    # the value chi2_initialization integrates
+    prob = tanh_problem(d=1)
+    planned = plan_pipeline(prob)
+    cv = planned.plan.curvature
+    assert cv.used
+    chi2 = chi2_initialization(prob, planned.region, planned.plan.init_radius)
+    assert np.log1p(np.exp(2.0 * chi2["log_sqrt_chi2"])) <= cv.log_chi2_bound
+
+
+def test_plan_where_the_paper_horizon_is_shorter_is_the_paper_plan():
+    # encoder-d2's config (sampled constants, seed 4): T_curv 12.8 against
+    # T_paper 5.0, so plan and samples are those of the paper's formulas
+    prob = build_problem(tanh_residual_net(2, 0.5), 0.1, np.array([0.5, 0.5]), epsilon=0.6, constants_seed=4)
+    planned = plan_pipeline(prob)
+    plan, rad, c = planned.plan, planned.region.radius, prob.constants
+    assert plan.curvature.horizon > plan.paper_horizon and not plan.curvature.used
+    h = min(0.6 * 0.1**2 / (c.M**2 + c.m**2), rad**2 * 0.6**2 / 2)
+    paper_horizon = (2.0 * rad) ** 2 * np.log(1.0 / 0.6)
+    paper = SamplerPlan(paper_horizon, h, int(np.ceil(paper_horizon / h)), rad / 4.0, False)
+    got = (plan.horizon, plan.h, plan.steps, plan.init_radius, plan.projected)
+    assert got == (paper.horizon, paper.h, paper.steps, paper.init_radius, paper.projected)
+    assert plan.steps == plan.paper_steps == 2709
+    runs = [run_planned_chains(prob, planned._replace(plan=p), NoiseStream(5), 16) for p in (plan, paper)]
+    assert np.array_equal(runs[0].finals, runs[1].finals)
+    assert np.array_equal(runs[0].exited, runs[1].exited)
+
+
+# (generator, d, alpha, beta, epsilon, seed): tanh-residual at d = 1, 2 and
+# random_residual_tanh_net at d = 2, 4, each with alpha_D > 1
+CURVATURE_CASES = [
+    ("tanh", 1, 0.5, 0.1, 0.1, 0),
+    ("tanh", 1, -0.3, 0.05, 0.2, 1),
+    ("tanh", 2, 0.5, 0.05, 0.6, 2),
+    ("tanh", 2, 0.3, 0.05, 0.3, 3),
+    *[("random", 2, 0.2, 0.05, 0.3, seed) for seed in range(3)],
+    *[("random", 4, 0.2, 0.05, 0.6, seed) for seed in range(3)],
+]
+
+
+@pytest.mark.parametrize("kind, d, alpha, beta, eps, seed", CURVATURE_CASES)
+def test_curvature_bounds_hold_on_the_region(monkeypatch, kind, d, alpha, beta, eps, seed):
+    # with closed-form constants, alpha_D and L_D bracket the Hessian's
+    # spectrum at 200 points of D, and the mode lies within mode_distance of
+    # the center, also when no Newton step shrinks the gradient term
+    if kind == "tanh":
+        net, constants = tanh_residual_net(d, alpha), tanh_constants(alpha)
+    else:
+        net, constants = random_residual_tanh_net(d, seed, alpha), residual_constants(alpha)
+    x = np.random.default_rng(seed).uniform(-1.0, 1.0, d)
+    prob = PosteriorProblem(LatentGaussian(net, beta), x, constants, epsilon=eps)
+    planned = plan_pipeline(prob)
+    reg, plan = planned.region, planned.plan
+    cv = plan.curvature
+    assert cv.alpha_D > 1.0 and cv.mode_distance is not None
+    assert plan.horizon <= plan.paper_horizon and plan.steps <= plan.paper_steps
+    offsets = ball_points(NoiseStream(seed), 0, np.arange(200, dtype=np.uint64), d, reg.radius)
+    eigs = np.array([np.linalg.eigvalsh(hess_potential(prob, z))[[0, -1]] for z in reg.center + offsets])
+    tol = 1e-6 * cv.L_D  # the Hessian's finite differences
+    assert cv.alpha_D <= eigs[:, 0].min() + tol
+    assert cv.L_D >= eigs[:, 1].max() - tol
+    mode = reg.center.copy()
+    for _ in range(40):
+        mode = mode - np.linalg.solve(hess_potential(prob, mode), grad_at(prob, mode))
+    assert np.linalg.norm(grad_at(prob, mode)) <= 1e-9
+    assert np.linalg.norm(reg.center - mode) <= cv.mode_distance + 1e-12
+    monkeypatch.setattr(sampler, "_MODE_NEWTON_STEPS", 0)
+    bare = region_curvature(prob, reg, plan.init_radius)
+    assert bare.mode_distance > cv.mode_distance
+    assert np.linalg.norm(reg.center - mode) <= bare.mode_distance
 
 
 def test_degenerate_plan_rejected():
@@ -175,6 +281,8 @@ def test_noise_off_descends_to_mode():
 
 def test_stage_numbering():
     st = PipelineStages(gd_steps=4)
+    assert st.gd_stage(0) == 1
+    assert st.gd_stage(3) == 4
     assert st.init_stage == 5
     assert st.langevin_stage(0) == 6
     assert st.langevin_stage(9) == 15
