@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import EnumerationCap
 from .nets import Layer, Network
@@ -146,6 +145,8 @@ def exact_orthant_posterior(gen: SignGenerator, x: np.ndarray) -> np.ndarray:
         hit = d2 == d2.min()
         return hit / hit.sum()
     verts = pattern_to_vertex(gen.table, gen.d)
+    from scipy.special import logsumexp
+
     logw = -((x[None, :] - verts) ** 2).sum(axis=1) / (2.0 * gen.beta**2)
     return np.exp(logw - logsumexp(logw))
 

@@ -67,6 +67,7 @@ the compiled encoder's stage positions so both consume identical noise words.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from contextlib import closing
 from dataclasses import dataclass
@@ -74,6 +75,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import potential
 from .errors import DegeneratePlan, NumericalBlowup, PlanTooLarge
 from .potential import PosteriorProblem, RegionD, grad_potential_batch, hess_potential
 from .rng import ball_points, normal_blocks
@@ -180,7 +182,26 @@ def make_sampler_plan(
     step_cap: int = STEP_CAP_DEFAULT,
 ) -> SamplerPlan:
     """Unprojected plan from the displayed formulas: the paper's horizon, or
-    the region's curvature horizon where that is shorter."""
+    the region's curvature horizon where that is shorter.
+
+    Raises PlanTooLarge over step_cap, suggesting the smallest epsilon whose
+    plan, on the region rebuilt around the same center, fits the cap
+    (_epsilon_within_cap).
+    """
+    plan = _uncapped_plan(problem, region)
+    if plan.steps > step_cap:
+        raise PlanTooLarge(
+            "planned steps exceed the cap; increase epsilon or raise the cap",
+            steps=plan.steps,
+            cap=step_cap,
+            suggested_epsilon=_epsilon_within_cap(problem, region.center, step_cap),
+        )
+    if plan.steps == 0:
+        raise DegeneratePlan("zero Langevin steps planned", horizon=plan.horizon, h=plan.h)
+    return plan
+
+
+def _uncapped_plan(problem: PosteriorProblem, region: RegionD) -> SamplerPlan:
     c = problem.constants
     eps = problem.epsilon
     rad = region.radius
@@ -197,25 +218,37 @@ def make_sampler_plan(
     curvature = region_curvature(problem, region, init_radius)
     curvature.used = bool(curvature.horizon is not None and curvature.horizon < paper_horizon)
     horizon = curvature.horizon if curvature.used else paper_horizon
-    steps = int(np.ceil(horizon / h))
-    if steps > step_cap:
-        raise PlanTooLarge(
-            "planned steps exceed the cap; increase epsilon or raise the cap",
-            steps=steps,
-            cap=step_cap,
-            suggested_epsilon=min(0.9, eps * (steps / step_cap) ** 0.25),
-        )
-    if steps == 0:
-        raise DegeneratePlan("zero Langevin steps planned", horizon=horizon, h=h)
     return SamplerPlan(
         horizon=float(horizon),
         h=float(h),
-        steps=steps,
+        steps=int(np.ceil(horizon / h)),
         init_radius=init_radius,
         projected=False,
         paper_horizon=float(paper_horizon),
         curvature=curvature,
     )
+
+
+def _epsilon_within_cap(problem: PosteriorProblem, center: np.ndarray, step_cap: int) -> float | None:
+    """The smallest epsilon in (problem.epsilon, 0.9] whose plan has at most
+    step_cap steps, to within 2^-30 of that interval's width, by bisection;
+    None when not even 0.9 fits. Every trial rebuilds the region around
+    center, since the radius, h and both horizons all move with epsilon."""
+
+    def fits(eps: float) -> bool:
+        trial = dataclasses.replace(problem, epsilon=eps)
+        return _uncapped_plan(trial, potential.region(trial, center)).steps <= step_cap
+
+    lo, hi = problem.epsilon, 0.9
+    if not fits(hi):
+        return None
+    for _ in range(30):
+        mid = 0.5 * (lo + hi)
+        if fits(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 # -- initialization ---------------------------------------------------------------

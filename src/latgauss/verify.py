@@ -17,7 +17,6 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import DimensionError, SupportError
 from .potential import PosteriorProblem, RegionD, potential_batch
@@ -167,7 +166,7 @@ def chi2_initialization(
 
     grid = np.linspace(c - region.radius, c + region.radius, int(grid_points))
     L = potential_batch(problem, grid[:, None])
-    logp = -L - logsumexp(-L)  # up to the quadrature weight, folded in below
+    logp = L.min() - L  # the log density up to a constant, at most 0 so exp cannot overflow
     dz = grid[1] - grid[0]
     # normalize the restricted target by trapezoid rule
     w = np.full(len(grid), dz)

@@ -58,6 +58,49 @@ def test_uniform_in_open_interval():
     assert np.all(u > 0.0) and np.all(u < 1.0)
 
 
+def test_unit_interval_ends():
+    # word 0 gives 2^-54; the top words would round to 1.0 and are clamped
+    top = 2**64 - 1
+    words = np.array([0, 2**11 - 1, top, top - (2**11 - 1), top - 2**11], dtype=np.uint64)
+    u = rng._unit_interval(words)
+    assert u.tolist() == [2.0**-54, 2.0**-54, 1.0 - 2.0**-53, 1.0 - 2.0**-53, 1.0 - 2.0**-52]
+
+
+def same_bits(a, b):
+    return np.array_equal(np.asarray(a).view(np.uint64), np.asarray(b).view(np.uint64))
+
+
+def test_cephes_ndtri_matches_scipy_on_the_stream():
+    # 10.5 million stream words, in chunks of 2^20
+    from scipy.special import ndtri
+
+    s = NoiseStream(2024)
+    draws = np.arange(2**20, dtype=np.uint64)
+    for stage in range(10):
+        u = s._uniforms(stage, 1, draws, 1).ravel()
+        assert same_bits(rng._cephes_ndtri(u.copy()), ndtri(u))
+
+
+def test_cephes_ndtri_matches_scipy_at_its_branch_points():
+    # neighbours of exp(-2) and 1 - exp(-2), where the central rational
+    # meets the tails, and of exp(-32), where x = sqrt(-2 log y) crosses 8;
+    # the smallest and largest stream uniforms; 0 and 1 give -inf and inf
+    from scipy.special import ndtri
+
+    points = []
+    for edge in (rng._EXP_M2, 1.0 - rng._EXP_M2, np.exp(-32.0)):
+        below = above = edge
+        points.append(edge)
+        for _ in range(4):
+            below, above = np.nextafter(below, 0.0), np.nextafter(above, 1.0)
+            points += [below, above]
+    points += [2.0**-54, 1.0 - 2.0**-53, 0.0, 1.0]
+    u = np.array(points)
+    got = rng._cephes_ndtri(u.copy())
+    assert same_bits(got, ndtri(u))
+    assert got[-2:].tolist() == [-np.inf, np.inf]
+
+
 def test_normal_moments():
     z = NoiseStream(8).normal_matrix(0, np.arange(20_000, dtype=np.uint64), 2).ravel()
     n = z.size
@@ -156,6 +199,28 @@ def test_normal_rows_equal_scaled_per_stage_draws(monkeypatch, block_words):
             block[...] = np.nan
             seen.append(block)
         assert k == 30
+
+
+@pytest.mark.parametrize("cpus", [{0}, {0, 1}])
+def test_bulk_requests_draw_the_same_rows(monkeypatch, cpus):
+    # the same request below the bulk threshold (Cephes port) and at it
+    # (scipy's ufunc, imported by the request), in blocks of 7 stages
+    from scipy.special import ndtri
+
+    monkeypatch.setattr(rng, "_BLOCK_WORDS", 7 * 6 * 2)
+    use_cpus(monkeypatch, cpus)
+    s = NoiseStream(21)
+    draws = np.arange(6, dtype=np.uint64) * 5 + 2
+    monkeypatch.setattr(rng, "_ufunc_ndtri", None)
+    monkeypatch.setattr(rng, "_BULK_WORDS", 30 * 6 * 2 + 1)
+    ported = rows_of(normal_blocks(s, 11, 30, draws, 2, scale=0.3))
+    assert rng._ufunc_ndtri is None
+    monkeypatch.setattr(rng, "_BULK_WORDS", 30 * 6 * 2)
+    bulk = rows_of(normal_blocks(s, 11, 30, draws, 2, scale=0.3))
+    assert rng._ufunc_ndtri is ndtri
+    assert len(ported) == len(bulk) == 30
+    for got, want in zip(bulk, ported):
+        assert same_bits(got, want)
 
 
 def new_threads(before):

@@ -190,6 +190,27 @@ def test_plan_too_large_suggests_epsilon():
     assert 0.05 < payload["suggested_epsilon"] <= 0.9
 
 
+@pytest.mark.parametrize(
+    "problem, cap",
+    [(tanh_problem(d=1), 5000), (identity_problem(d=1), 100)],
+    ids=["readme-exact-constants", "identity"],
+)
+def test_suggested_epsilon_fits_the_cap(problem, cap):
+    # one application of the suggestion brings the whole pipeline's plan
+    # within the cap (14,579 and 119 steps at epsilon 0.1)
+    with pytest.raises(PlanTooLarge) as err:
+        plan_pipeline(problem, step_cap=cap)
+    eps = err.value.payload["suggested_epsilon"]
+    assert 0.1 < eps <= 0.9
+    assert plan_pipeline(dataclasses.replace(problem, epsilon=eps), step_cap=cap).plan.steps <= cap
+
+
+def test_no_suggestion_when_no_epsilon_fits():
+    with pytest.raises(PlanTooLarge) as err:
+        plan_pipeline(tanh_problem(d=1), step_cap=10)
+    assert err.value.payload["suggested_epsilon"] is None
+
+
 def test_initialize_ball_and_precondition():
     prob = identity_problem(d=2, x=[0.5, 0.5])
     reg = prepared(prob)
