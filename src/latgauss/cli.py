@@ -65,6 +65,7 @@ from .pipeline import build_problem, plan_pipeline, plan_truncated, run_planned_
 from .potential import check_inverse, diagnostics_report, refine_inverse, region_radius
 from .rng import NoiseStream
 from .verify import (
+    MAX_GRID_DIM,
     MAX_MOMENT_DIM,
     build_grid_oracle,
     chi2_initialization,
@@ -215,7 +216,7 @@ def cmd_sample(cfg: RunConfig) -> int:
             "exit": exit_block,
         }
     )
-    if problem.dim <= 2:
+    if problem.dim <= MAX_GRID_DIM:
         report["tv"] = tv_gate(finals, build_grid_oracle(problem, planned.region), problem.epsilon)
     else:
         report["tv"] = {"skipped": "grid oracle supports dimension 1 and 2 only"}

@@ -75,7 +75,7 @@ def plan_pipeline(
     step_cap: int = STEP_CAP_DEFAULT,
 ) -> PipelinePlan:
     """Deterministic half of the pipeline: descent with early stop, the
-    region around its output, and the unprojected Langevin plan.
+    region around its output, and the Langevin plan.
 
     Raises InitializationError when the descent output misses the chain
     start precondition (check_inverse), as a too-low descent cap can cause.
@@ -99,7 +99,7 @@ def plan_truncated(
 
     Descent keeps the planned step 1/Q but runs exactly gd_steps steps with
     no early stop, since the encoder replays every stage; the chain keeps the
-    full plan's h and start radius but runs langevin_steps steps, unprojected.
+    full plan's h and start radius but runs langevin_steps steps.
     Both counts and the full Langevin plan must fit their caps, and the
     descent output must meet the chain start precondition (check_inverse).
     """

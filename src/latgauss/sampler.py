@@ -4,8 +4,11 @@ The chain discretizes dz = -grad L(z) dt + sqrt(2) dB by Euler steps
 
     z' = z - h grad L(z) + sqrt(2 h) xi,      xi ~ N(0, I_d),
 
-optionally followed by projection onto the effective ball D (the reflected
-variant). Plans fix the step, the horizon and the step count:
+with no projection: a chain that leaves the region D is recorded as an exit,
+which the exit gate holds to its share of the error budget. The horizons
+below are rates for this unprojected chain (Dalalyan 2017); a projected chain
+mixes at other rates (Bubeck, Eldan & Lehec 2018), and none is planned here.
+Plans fix the step, the horizon and the step count:
 
     h = min(eps * beta^2 / (M^2 + m^2),  rad^2 eps^2 / max(d, 1))
     T = min(T_paper, T_curv),    T_paper = (2 rad)^2 * log(1/eps)
@@ -105,7 +108,6 @@ class SamplerPlan:
     h: float
     steps: int  # K
     init_radius: float  # rad/4, radius of the start perturbation ball
-    projected: bool
     # the horizon's basis, set by make_sampler_plan; None on a hand-built plan
     paper_horizon: float | None = None  # T_paper
     curvature: RegionCurvature | None = None
@@ -181,7 +183,7 @@ def make_sampler_plan(
     region: RegionD,
     step_cap: int = STEP_CAP_DEFAULT,
 ) -> SamplerPlan:
-    """Unprojected plan from the displayed formulas: the paper's horizon, or
+    """The plan from the displayed formulas: the paper's horizon, or
     the region's curvature horizon where that is shorter.
 
     Raises PlanTooLarge over step_cap, suggesting the smallest epsilon whose
@@ -223,7 +225,6 @@ def _uncapped_plan(problem: PosteriorProblem, region: RegionD) -> SamplerPlan:
         h=float(h),
         steps=int(np.ceil(horizon / h)),
         init_radius=init_radius,
-        projected=False,
         paper_horizon=float(paper_horizon),
         curvature=curvature,
     )
@@ -276,14 +277,6 @@ def initialize_batch(
 # -- chains ------------------------------------------------------------------------
 
 
-def project_ball(Z: np.ndarray, center: np.ndarray, radius: float) -> np.ndarray:
-    """Euclidean projection onto the closed ball; identity inside."""
-    offset = Z - center
-    norms = np.linalg.norm(offset, axis=-1, keepdims=True)
-    scale = np.where(norms > radius, radius / np.maximum(norms, 1e-300), 1.0)
-    return center + offset * scale
-
-
 class ChainRun(NamedTuple):
     """What one batch of chains produces. finals stays field 0: the traced
     benchmark run counts chain-steps from len(result[0])."""
@@ -327,8 +320,7 @@ def run_chains(
         outside = np.einsum("ij,ij->i", off, off) > radius**2
         exited[outside.reshape(len(states), len(Z)).any(axis=0)] = True
 
-    if not plan.projected:
-        record_exits(Z[None].copy())
+    record_exits(Z[None].copy())
     lone = len(Z) == 1
     k = 0
     blocks = normal_blocks(
@@ -349,14 +341,10 @@ def run_chains(
                     )
                 Z -= plan.h * grad
                 Z += noise
-                if plan.projected:
-                    Z = project_ball(Z, center, radius)
-                else:
-                    block[j] = Z
+                block[j] = Z
                 k += 1
                 if k in want:
                     snapshots[k] = Z.copy()
-            if not plan.projected:
-                record_exits(block)
+            record_exits(block)
     return ChainRun(Z, exited, snapshots)
 

@@ -353,7 +353,25 @@ def test_projected_chain_tv_decays_under_envelope():
     problem = tanh_problem(d=1)
     rep = mixing_trend_experiment(problem, plan_pipeline(problem), NoiseStream(3), chains=4000)
     ok = rep["pass"] and rep["tv"][-1] < rep["tv"][0]
-    gate(10, "projected chain mixing trend",
+    gate(10, "planned chain mixing trend",
          ok, f"tv {[round(v, 3) for v in rep['tv']]} under envelope "
          f"{[round(v, 3) for v in rep['envelope']]} (+{rep['envelope_allowance']})",
          t0, 180)
+
+
+class ShrunkenNoise(NoiseStream):
+    """Langevin noise scaled by 0.8, so the chains settle at 0.64 times the
+    posterior's variance; the start ball draws uniforms and is unchanged."""
+
+    def normal_stages(self, stage, count, draws, n):
+        return 0.8 * super().normal_stages(stage, count, draws, n)
+
+
+def test_mixing_trend_catches_shrunken_noise():
+    # check 10's problem: the mutant's last TV is about 0.096, over the
+    # envelope's eps/4 plus the binning allowance, 0.055
+    problem = tanh_problem(d=1)
+    rep = mixing_trend_experiment(problem, plan_pipeline(problem), ShrunkenNoise(3), chains=4000)
+    assert rep["non_increasing"]
+    assert rep["tv"][-1] > rep["envelope"][-1] + rep["envelope_allowance"]
+    assert not rep["below_envelope"] and not rep["pass"]

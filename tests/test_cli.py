@@ -281,6 +281,24 @@ def count_descents(monkeypatch):
     return calls
 
 
+def test_verify_grid_experiments_run_at_dimension_two(tmp_path):
+    # the grid oracle covers d = 2, so verify's tv and mixing experiments
+    # run there as sample's TV block does
+    cfgp = write_config(
+        tmp_path,
+        "c.json",
+        {"generator": {"builtin": "identity"}, "d": 2, "beta": 0.1,
+         "constants": IDENTITY_CONSTANTS, "chains": 2000, "samples": 2000,
+         "experiments": ["tv", "mixing"]},
+    )
+    out = tmp_path / "out"
+    assert run(["verify", "--config", cfgp, "--out", str(out)]) == 0
+    experiments = read_json(out / "verify_report.json")["experiments"]
+    assert sorted(experiments) == ["mixing", "tv"]
+    assert experiments["tv"]["pass"] and experiments["mixing"]["pass"]
+    assert experiments["mixing"]["envelope"][-1] <= 0.1 / 4  # the default epsilon's share
+
+
 # planned descent of 99 steps; the descent converges in under 10
 SMALL_VERIFY = {"generator": {"builtin": "tanh-residual", "alpha": 0.5}, "d": 1, "beta": 0.1,
                 "epsilon": 0.5, "x": [1.5], "constants": TANH_CONSTANTS, "chains": 100,

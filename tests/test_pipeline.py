@@ -133,7 +133,8 @@ def test_posterior_tv_experiment_small_run():
 
 
 def test_posterior_tv_requires_dimension_one():
-    prob = identity_problem(d=2, x=[0.5, 0.5])
+    # the grid oracle's limit, MAX_GRID_DIM = 2, checked before any chain runs
+    prob = identity_problem(d=3, x=[0.5, 0.5, 0.5])
     with pytest.raises(DimensionError):
         posterior_tv_experiment(prob, plan_pipeline(prob), NoiseStream(1), samples=10)
 
@@ -148,7 +149,12 @@ def test_mixing_trend_experiment_small_run():
     assert rep["non_increasing"] and rep["below_envelope"]
     assert rep["tv"][-1] < rep["tv"][0]
     assert rep["times"][-1] == 119 * planned.plan.h
-    assert not planned.plan.projected  # the experiment projects a copy
+    # the envelope reaches eps/4 at the horizon T, and the last point, at
+    # K h in [T, T + h), lies within one step's decay below it
+    eps_share, t1 = prob.epsilon / 4, rep["times"][0]
+    rate = rep["envelope_rate"]
+    assert rep["tv"][0] * np.exp(-rate * (planned.plan.horizon - t1)) == pytest.approx(eps_share, rel=1e-12)
+    assert eps_share * np.exp(-rate * planned.plan.h) < rep["envelope"][-1] <= eps_share
 
 
 def test_compiled_vs_direct_experiment():

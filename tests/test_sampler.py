@@ -26,7 +26,6 @@ from latgauss.sampler import (
     SamplerPlan,
     initialize_batch,
     make_sampler_plan,
-    project_ball,
     region_curvature,
     run_chains,
 )
@@ -116,9 +115,9 @@ def test_plan_where_the_paper_horizon_is_shorter_is_the_paper_plan():
     assert plan.curvature.horizon > plan.paper_horizon and not plan.curvature.used
     h = min(0.6 * 0.1**2 / (c.M**2 + c.m**2), rad**2 * 0.6**2 / 2)
     paper_horizon = (2.0 * rad) ** 2 * np.log(1.0 / 0.6)
-    paper = SamplerPlan(paper_horizon, h, int(np.ceil(paper_horizon / h)), rad / 4.0, False)
-    got = (plan.horizon, plan.h, plan.steps, plan.init_radius, plan.projected)
-    assert got == (paper.horizon, paper.h, paper.steps, paper.init_radius, paper.projected)
+    paper = SamplerPlan(paper_horizon, h, int(np.ceil(paper_horizon / h)), rad / 4.0)
+    got = (plan.horizon, plan.h, plan.steps, plan.init_radius)
+    assert got == (paper.horizon, paper.h, paper.steps, paper.init_radius)
     assert plan.steps == plan.paper_steps == 2709
     runs = [run_planned_chains(prob, planned._replace(plan=p), NoiseStream(5), 16) for p in (plan, paper)]
     assert np.array_equal(runs[0].finals, runs[1].finals)
@@ -226,7 +225,7 @@ def test_langevin_step_formula():
     # grad L(z) = z + (z - x) = 2z at beta=1
     reg = synthetic_region([0.0], 10.0)
     h = 0.01
-    one_step = SamplerPlan(horizon=h, h=h, steps=1, init_radius=2.5, projected=False)
+    one_step = SamplerPlan(horizon=h, h=h, steps=1, init_radius=2.5)
     stages = PipelineStages(3)
     Z = np.array([[1.0], [-0.4], [0.25]])
     idx = np.array([0, 5, 9], dtype=np.uint64)
@@ -236,22 +235,8 @@ def test_langevin_step_formula():
     assert np.allclose(got, Z - h * 2.0 * Z + np.sqrt(2 * h) * noise)
 
 
-def test_project_ball():
-    center = np.zeros(2)
-    Z = np.array([[3.0, 4.0], [0.1, 0.0]])
-    P = project_ball(Z, center, 1.0)
-    assert np.allclose(P[0], [0.6, 0.8])
-    assert np.array_equal(P[1], Z[1])
-
-
-def truncated(plan, steps, projected=False):
-    return SamplerPlan(
-        horizon=plan.h * steps,
-        h=plan.h,
-        steps=steps,
-        init_radius=plan.init_radius,
-        projected=projected,
-    )
+def truncated(plan, steps):
+    return SamplerPlan(horizon=plan.h * steps, h=plan.h, steps=steps, init_radius=plan.init_radius)
 
 
 def test_chains_match_conjugate_posterior_moments():
@@ -271,27 +256,11 @@ def test_chains_match_conjugate_posterior_moments():
     assert abs(finals.var() - var) <= 6 * var * np.sqrt(2.0 / n)
 
 
-def test_projected_chains_stay_inside():
-    prob = tanh_problem(d=2, x=[0.6, -0.2])
-    reg = prepared(prob)
-    plan = truncated(make_sampler_plan(prob, reg), 3000, projected=True)
-    stages = PipelineStages(1)
-    idx = np.arange(64, dtype=np.uint64)
-    Z0 = initialize_batch(prob, reg, plan, NoiseStream(11), stages, idx)
-    finals, exited, snaps = run_chains(
-        prob, reg, plan, Z0, NoiseStream(11), stages, chains=idx, snapshot_steps=[plan.steps // 2]
-    )
-    assert not exited.any()
-    assert np.all(np.linalg.norm(finals - reg.center, axis=1) <= reg.radius + 1e-9)
-    mid = snaps[plan.steps // 2]
-    assert np.all(np.linalg.norm(mid - reg.center, axis=1) <= reg.radius + 1e-9)
-
-
 def test_noise_off_descends_to_mode():
     # zero diffusion turns the chain into gradient descent on L
     prob = identity_problem(d=1, beta=0.5, x=[0.8])
     reg = prepared(prob)
-    plan = SamplerPlan(horizon=10.0, h=0.05, steps=200, init_radius=reg.radius / 4, projected=False)
+    plan = SamplerPlan(horizon=10.0, h=0.05, steps=200, init_radius=reg.radius / 4)
     stages = PipelineStages(1)
     Z0 = reg.center[None, :] + 0.2 * reg.radius
     finals, _, _ = run_chains(
@@ -316,28 +285,24 @@ def per_step_chains(prob, reg, plan, Z0, stream, stages, idx):
     exited = np.zeros(len(Z), dtype=bool)
 
     def record():
-        if not plan.projected:
-            off = Z - reg.center
-            exited[np.einsum("ij,ij->i", off, off) > reg.radius**2] = True
+        off = Z - reg.center
+        exited[np.einsum("ij,ij->i", off, off) > reg.radius**2] = True
 
     record()
     for k in range(plan.steps):
         Z -= plan.h * grad_potential_batch(prob, Z)
         Z += np.sqrt(2.0 * plan.h) * stream.normal_matrix(stages.langevin_stage(k), idx, Z.shape[1])
-        if plan.projected:
-            Z = project_ball(Z, reg.center, reg.radius)
         record()
     return Z, exited
 
 
-@pytest.mark.parametrize("projected", [False, True])
-def test_chains_do_not_depend_on_noise_block_size(monkeypatch, projected):
+def test_chains_do_not_depend_on_noise_block_size(monkeypatch):
     # a region of radius 0.15 against a diffusion of about 0.19 over the 60
-    # steps, so that some chains exit or get clamped and others do not
+    # steps, so that some chains exit and others do not
     prob = tanh_problem(d=2, x=[0.6, -0.2])
     planned = prepared(prob)
     reg = synthetic_region(planned.center, 0.15)
-    plan = truncated(make_sampler_plan(prob, planned), 60, projected)
+    plan = truncated(make_sampler_plan(prob, planned), 60)
     plan = dataclasses.replace(plan, init_radius=reg.radius / 4)  # starts inside the 0.15 ball
     stages = PipelineStages(2)
     idx = np.arange(10, dtype=np.uint64) * 3 + 1
@@ -352,8 +317,7 @@ def test_chains_do_not_depend_on_noise_block_size(monkeypatch, projected):
     want_finals, want_exited = per_step_chains(prob, reg, plan, Z0, NoiseStream(5), stages, idx)
     assert np.array_equal(finals, want_finals)
     assert np.array_equal(exited, want_exited)
-    assert exited.any() != projected
-    assert not exited.all()
+    assert exited.any() and not exited.all()
     for other_finals, other_exited, other_snaps in runs[1:]:
         assert np.array_equal(other_finals, finals)
         assert np.array_equal(other_exited, exited)
@@ -367,7 +331,7 @@ def test_blowup_mid_block_reports_its_step_and_state(monkeypatch):
     # until the gradient overflows, which lands inside a 7-stage block
     prob = identity_problem(d=1, beta=0.5, x=[0.8])
     reg = synthetic_region([0.64], 1.0)
-    plan = SamplerPlan(horizon=30000.0, h=100.0, steps=300, init_radius=0.25, projected=False)
+    plan = SamplerPlan(horizon=30000.0, h=100.0, steps=300, init_radius=0.25)
     stages = PipelineStages(1)
     idx = np.arange(4, dtype=np.uint64)
     Z0 = np.array([[0.5], [0.7], [0.6], [0.9]])
@@ -395,8 +359,8 @@ def split_setup():
     return prob, reg, PipelineStages(3)
 
 
-def chain_outputs(prob, reg, projected, stages, idx):
-    plan = SamplerPlan(horizon=0.04, h=1e-3, steps=40, init_radius=0.025, projected=projected)
+def chain_outputs(prob, reg, stages, idx):
+    plan = SamplerPlan(horizon=0.04, h=1e-3, steps=40, init_radius=0.025)
     Z0 = initialize_batch(prob, reg, plan, NoiseStream(8), stages, idx)
     finals, exited, snaps = run_chains(prob, reg, plan, Z0, NoiseStream(8), stages, idx, SPLIT_SNAPSHOTS)
     return [Z0, finals, exited] + [snaps[s] for s in SPLIT_SNAPSHOTS]
@@ -405,19 +369,17 @@ def chain_outputs(prob, reg, projected, stages, idx):
 @settings(max_examples=30, deadline=None)
 @given(
     labels=st.lists(st.integers(0, SPLIT_CHAINS - 1), min_size=SPLIT_CHAINS, max_size=SPLIT_CHAINS),
-    projected=st.booleans(),
 )
-@example(labels=list(range(SPLIT_CHAINS)), projected=False)
-@example(labels=list(range(SPLIT_CHAINS)), projected=True)
-def test_chains_do_not_depend_on_how_they_are_split(labels, projected):
+@example(labels=list(range(SPLIT_CHAINS)))
+def test_chains_do_not_depend_on_how_they_are_split(labels):
     # starts, finals, exits and snapshots of every part of a partition of the
     # chain indices, lone chains included, equal the whole batch's rows
     prob, reg, stages = split_setup()
     idx = np.arange(SPLIT_CHAINS, dtype=np.uint64)
-    whole = chain_outputs(prob, reg, projected, stages, idx)
-    assert whole[2].any() != projected
+    whole = chain_outputs(prob, reg, stages, idx)
+    assert whole[2].any()
     labels = np.array(labels)
     for label in np.unique(labels):
         part = idx[labels == label]
-        for got, want in zip(chain_outputs(prob, reg, projected, stages, part), whole):
+        for got, want in zip(chain_outputs(prob, reg, stages, part), whole):
             assert np.array_equal(got, want[part])

@@ -171,15 +171,6 @@ def test_linear_posterior_general_formula():
     assert np.allclose(mean, want_mean)
 
 
-def test_restricted_oracle_clips_support():
-    prob = tanh_problem(d=1, beta=0.1, x=[0.9])
-    reg = prepared(prob)
-    orc = build_grid_oracle(prob, reg, restricted=True)
-    outside = np.abs(orc.axes[0] - reg.center[0]) > reg.radius
-    assert np.all(orc.density[outside] == 0.0)
-    assert abs(orc.integral() - 1.0) < 1e-6
-
-
 LINEAR_PROBLEMS = {
     "identity-d1": (identity_problem(d=1, beta=1.0, x=[0.0]), 1.0),
     "scale-d1": (scale_problem(a=2.0, d=1, beta=0.5, x=[1.0]), 2.0),
