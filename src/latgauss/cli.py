@@ -229,9 +229,7 @@ def cmd_sample(cfg: RunConfig) -> int:
 def cmd_compile(cfg: RunConfig) -> int:
     problem = _problem_from_config(cfg)
     planned = _compile_plan(problem, cfg)
-    encoder = compile_encoder(
-        problem, planned.gd_plan, planned.plan, amortized=cfg.compile_opts["amortized"]
-    )
+    encoder = compile_encoder(problem, planned.gd_plan, planned.plan)
 
     # Self-test gates the artifact: no encoder file unless the compiled network
     # reproduces the direct pipeline on shared noise.
@@ -282,10 +280,7 @@ _EXPERIMENTS = {
         problem, planned, NoiseStream(cfg.seed + 13), chains=cfg.chains
     ),
     "compiled": lambda problem, planned, cfg: compiled_vs_direct_experiment(
-        problem,
-        _compile_plan(problem, cfg),
-        NoiseStream(cfg.seed + 15),
-        amortized=cfg.compile_opts["amortized"],
+        problem, _compile_plan(problem, cfg), NoiseStream(cfg.seed + 15)
     ),
 }
 
@@ -302,7 +297,8 @@ def cmd_verify(cfg: RunConfig) -> int:
 
     report = _report_header(cfg, "verify")
     # the Taylor and Hessian checks expand around an exact stationary point;
-    # the descent output is only within m * radius / 4, so polish it first.
+    # the descent's residual is only within m * radius / 4, which puts its
+    # point within radius / 4 of the inverse, so polish it first.
     # chi2 below keeps the region's center: its subject is the actual chain start.
     zhat = refine_inverse(problem, planned.trace.final)
     diag = diagnostics_report(problem, zhat, points=100, seed=cfg.seed)

@@ -31,12 +31,12 @@ noise counters):
 
 The ball perturbation is not Gaussian, so it cannot be stage noise; the caller
 samples it (same counters as the direct pipeline) and feeds it as an input
-channel. Amortized encoders take input (z0, x, n) and carry x through every
-stage at scale DEFAULT_CARRY_SCALE: stage noise is isotropic over the whole
-stage output, so an identity carry would corrupt x by sqrt(2h) * xi per
-Langevin stage; scaling the channel up attenuates that corruption to
-sqrt(2hK) / DEFAULT_CARRY_SCALE, far below the equivalence tolerance.
-Non-amortized encoders bake x into biases and take input (z0, n).
+channel. The encoder is one q(z | x) for every observation x: it takes input
+(z0, x, n) and carries x through every stage at scale DEFAULT_CARRY_SCALE.
+Stage noise is isotropic over the whole stage output, so an identity carry
+would corrupt x by sqrt(2h) * xi per Langevin stage; scaling the channel up
+attenuates that corruption to sqrt(2hK) / DEFAULT_CARRY_SCALE, far below the
+equivalence tolerance.
 """
 
 from __future__ import annotations
@@ -187,14 +187,14 @@ def _gadget_blocks(k, t, s, i, g):
     return blocks
 
 
-def _sweep(net, groups, rides, c1, c2, offset) -> Network:
+def _sweep(net, groups, rides, c1, c2, shift) -> Network:
     """One forward tape and one reverse sweep: z -> (c1 z + c2 J(z)^T r, rides).
 
     groups are the input wire groups and net reads the group "z"; rides are
     input groups carried verbatim to the output after the gradient block.
-    The sweep is seeded with the residual wire r = net(z) + offset, for
-    offset = ({group: matrix}, bias) over ride groups; the cotangents it
-    carries back are linear in the wires, with no bias.
+    The sweep is seeded with the residual wire r = net(z) + shift, for
+    shift = {group: matrix} over ride groups; the cotangents it carries back
+    are linear in the wires, with no bias.
 
     The forward tape computes each layer's activations "a", copies the
     preactivations of its square neurons (u{k}), and squares its tanh
@@ -206,7 +206,6 @@ def _sweep(net, groups, rides, c1, c2, offset) -> Network:
     """
     tanh_code, sq_code = _CODE[_TANH_TAG], _CODE[_SQ_TAG]
     L = net.depth
-    shift, shift_bias = offset
     passing = ["z"] + list(rides)
     tpos = [np.flatnonzero(lay.codes == tanh_code) for lay in net.layers]
     spos = [np.flatnonzero(lay.codes == sq_code) for lay in net.layers]
@@ -232,7 +231,7 @@ def _sweep(net, groups, rides, c1, c2, offset) -> Network:
             blocks.append(("a", lay.activation_tags(), [(lay.weight, src)], lay.bias))
         else:  # all-identity last layer: r is its output
             terms = [(lay.weight, src)] + _expr_terms(shift)
-            blocks.append(("r", _ID_TAG, terms, lay.bias + shift_bias))
+            blocks.append(("r", _ID_TAG, terms, lay.bias))
         if len(s):
             blocks.append((f"u{k}", _ID_TAG, [(lay.weight[s], src)], lay.bias[s]))
         if k and len(tpos[k - 1]):
@@ -241,7 +240,7 @@ def _sweep(net, groups, rides, c1, c2, offset) -> Network:
         src = "a"
     n, t = net.output_dim, tpos[-1]
     if len(t) or len(spos[-1]):
-        blocks = [("r", _ID_TAG, [(np.eye(n), "a")] + _expr_terms(shift), shift_bias)]
+        blocks = [("r", _ID_TAG, [(np.eye(n), "a")] + _expr_terms(shift), np.zeros(n))]
         if len(t):
             blocks.append(square_tanh(L - 1, np.eye(n)[t]))
         emit(blocks, L - 1)
@@ -273,17 +272,14 @@ def step_network(
     generator: Network,
     c1: float,
     c2: float,
-    x_const: np.ndarray | None = None,
     x_scale: float = 1.0,
     extra_carry: int = 0,
 ) -> Network:
-    """The map z -> c1 z + c2 J_G(z)^T (G(z) - x) with x handled three ways.
+    """The map (z, s x) -> (c1 z + c2 J_G(z)^T (G(z) - x), s x).
 
-    Default (x_const None, scale 1): input (z, x), output (step, x) with x
-    passed through unchanged. With x_scale s, the x channel holds s*x and
-    consumers divide by s. With x_const, x is folded into biases: input and
-    output are just z. extra_carry appends input channels carried verbatim
-    (used for the ball-noise channel during descent stages).
+    The x channel holds s*x for s = x_scale and is passed through unchanged;
+    the step divides it by s. extra_carry appends input channels carried
+    verbatim (used for the ball-noise channel during descent stages).
 
     One forward tape of G emits the residual r = G(z) - x as a wire, and one
     reverse sweep seeded with r forms J^T r and writes c1 z + c2 J^T r into
@@ -295,16 +291,11 @@ def step_network(
     if generator.input_dim != generator.output_dim:
         raise DimensionError("step networks need a square generator")
     d = generator.input_dim
-    groups = [("z", d)]
-    if x_const is None:
-        groups.append(("sx", d))
-        offset = ({"sx": -np.eye(d) / x_scale}, np.zeros(d))
-    else:
-        offset = ({}, -np.asarray(x_const, dtype=np.float64))
+    groups = [("z", d), ("sx", d)]
     if extra_carry:
         groups.append(("carry", extra_carry))
     rides = [name for name, _ in groups[1:]]
-    return _sweep(generator, groups, rides, c1, c2, offset=offset)
+    return _sweep(generator, groups, rides, c1, c2, shift={"sx": -np.eye(d) / x_scale})
 
 
 # -- encoder assembly -----------------------------------------------------------------
@@ -314,9 +305,9 @@ def step_network(
 class CompiledEncoder:
     """The pipeline as a deep latent Gaussian model.
 
-    Amortized input: (z0, x, n); plain input: (z0, n). z0 is ignored (the
-    zeroing stage kills it), n is the uniform ball perturbation supplied by
-    the caller, drawn at stage S+1 with the shared counter conventions.
+    Input: (z0, x, n). z0 is ignored (the zeroing stage kills it), n is the
+    uniform ball perturbation supplied by the caller, drawn at stage S+1 with
+    the shared counter conventions.
     """
 
     dlg: DeepLatentGaussian
@@ -325,10 +316,8 @@ class CompiledEncoder:
     langevin_stage_count: int
     step_variance: float
     eta: float
-    amortized: bool
     carry_scale: float
     init_radius: float
-    x: np.ndarray | None  # baked observation when not amortized
 
     @property
     def stages(self) -> PipelineStages:
@@ -337,33 +326,26 @@ class CompiledEncoder:
 
 # The scalar metadata fields in declaration order: save_encoder writes them in
 # this order, load_encoder reads them back, and manifest reports them.
-_METADATA = tuple(f.name for f in fields(CompiledEncoder) if f.name not in ("dlg", "x"))
+_METADATA = tuple(f.name for f in fields(CompiledEncoder) if f.name != "dlg")
 
 
 def compile_encoder(
     problem: PosteriorProblem,
     gd_plan: GdPlan,
     plan: SamplerPlan,
-    amortized: bool = True,
 ) -> CompiledEncoder:
     g = problem.model.generator
     d = problem.dim
     S, K = gd_plan.steps, plan.steps
     h = plan.h
-    lam = DEFAULT_CARRY_SCALE if amortized else 1.0
+    lam = DEFAULT_CARRY_SCALE
     E, Z = np.eye(d), np.zeros((d, d))
-    if amortized:  # input (z0, x, n) -> (0, lam*x, n) -> (z + n, lam*x) -> z
-        zero = linear_net(np.block([[Z, Z, Z], [Z, lam * E, Z], [Z, Z, E]]))
-        init = linear_net(np.block([[E, Z, E], [Z, E, Z]]))
-        out = linear_net(np.block([[E, Z]]))
-        x_wire = {"x_scale": lam}
-    else:  # input (z0, n) -> (0, n) -> z + n -> z, with x in the step biases
-        zero = linear_net(np.block([[Z, Z], [Z, E]]))
-        init = linear_net(np.block([[E, E]]))
-        out = linear_net(np.block([[E]]))
-        x_wire = {"x_const": problem.x}
-    gd_step = step_network(g, 1.0, -gd_plan.eta, extra_carry=d, **x_wire)
-    lan_step = step_network(g, 1.0 - h, -h / problem.beta**2, **x_wire)
+    # input (z0, x, n) -> (0, lam*x, n) -> (z + n, lam*x) -> z
+    zero = linear_net(np.block([[Z, Z, Z], [Z, lam * E, Z], [Z, Z, E]]))
+    init = linear_net(np.block([[E, Z, E], [Z, E, Z]]))
+    out = linear_net(np.block([[E, Z]]))
+    gd_step = step_network(g, 1.0, -gd_plan.eta, x_scale=lam, extra_carry=d)
+    lan_step = step_network(g, 1.0 - h, -h / problem.beta**2, x_scale=lam)
 
     stages = (
         [(zero, 0.0)]
@@ -378,11 +360,9 @@ def compile_encoder(
         langevin_stage_count=K,
         step_variance=2.0 * h,
         eta=gd_plan.eta,
-        amortized=amortized,
         carry_scale=lam,
         dim=d,
         init_radius=plan.init_radius,
-        x=None if amortized else problem.x.copy(),
     )
 
 
@@ -398,10 +378,8 @@ def encoder_inputs(
     draws = np.asarray(draws, dtype=np.uint64)
     noise = ball_points(stream, encoder.stages.init_stage, draws, d, encoder.init_radius)
     z0 = np.zeros((len(draws), d))
-    if encoder.amortized:
-        xs = np.broadcast_to(np.asarray(x, dtype=np.float64), (len(draws), d))
-        return np.concatenate([z0, xs, noise], axis=1)
-    return np.concatenate([z0, noise], axis=1)
+    xs = np.broadcast_to(np.asarray(x, dtype=np.float64), (len(draws), d))
+    return np.concatenate([z0, xs, noise], axis=1)
 
 
 def run_encoder(
@@ -431,7 +409,6 @@ def save_encoder(encoder: CompiledEncoder, path):
     doc = {
         "format": ENCODER_FORMAT,
         **{name: getattr(encoder, name) for name in _METADATA},
-        "x": None if encoder.x is None else encoder.x.tolist(),
         "networks": [json.loads(n.to_json()) for n in unique],
         "stages": stage_rows,
     }
@@ -444,11 +421,17 @@ def load_encoder(path) -> CompiledEncoder:
         doc = json.load(fh)
     if doc.get("format") != ENCODER_FORMAT:
         raise ValueError(f"unrecognized encoder format {doc.get('format')!r}")
+    # files written before baked-x encoders were removed carry these fields
+    for field, legacy in (("x", None), ("amortized", True)):
+        if doc.get(field, legacy) is not legacy:
+            raise ValueError(
+                f"encoder field {field!r} marks a baked-x encoder; baked-x encoders were "
+                "removed and the encoder takes x as input, so compile it again"
+            )
     nets = [Network.from_json(json.dumps(spec)) for spec in doc["networks"]]
     stages = [(nets[row["network"]], row["variance"]) for row in doc["stages"]]
     return CompiledEncoder(
         dlg=DeepLatentGaussian(stages),
-        x=None if doc["x"] is None else np.array(doc["x"]),
         **{name: doc[name] for name in _METADATA},
     )
 

@@ -25,7 +25,9 @@ Schema (JSON object):
     constants: { m, M, M2, M3: floats } # optional override; else estimated
     constants_samples: int             # default 4096
     caps: { max_gd_steps: int, max_langevin_steps: int }  # defaults 1e6 / 1e7
-    compile: { gd_steps: int, langevin_steps: int, amortized: bool }  # defaults 10 / 50 / true
+    compile: { gd_steps: int, langevin_steps: int }  # defaults 10 / 50
+                                       # (amortized: true is accepted for older configs;
+                                       # false, a baked-x encoder, is an error)
     chains: int                        # default 1000 (verify's exit and mixing experiments;
                                        # the moment test runs at least 4000)
     samples: int                       # default 10000 (chains the sample command runs,
@@ -271,9 +273,12 @@ def parse_config(
                 _is_int(compile_opts[k]) and compile_opts[k] >= 0,
                 f"compile.{k} must be a nonnegative integer",
             )
-    if "amortized" in compile_opts:
-        _require(isinstance(compile_opts["amortized"], bool), "compile.amortized must be a bool")
-    compile_opts = {"gd_steps": 10, "langevin_steps": 50, "amortized": True, **compile_opts}
+    _require(
+        compile_opts.get("amortized", True) is True,
+        "compile.amortized must be true: baked-x encoders were removed and the encoder "
+        "takes x as input",
+    )
+    compile_opts = {k: compile_opts.get(k, v) for k, v in (("gd_steps", 10), ("langevin_steps", 50))}
 
     chains = raw.get("chains", 1000)
     _require(_is_int(chains) and chains >= 1, "chains must be a positive integer")

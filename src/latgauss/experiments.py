@@ -144,12 +144,11 @@ def compiled_vs_direct_experiment(
     planned: PipelinePlan,
     stream,
     draws: int = 32,
-    amortized: bool = True,
 ) -> dict:
     """Compile a truncated plan (pipeline.plan_truncated) and report the
     shared-noise deviation, held to compiler.equivalence_gate."""
     from .compiler import compile_encoder, equivalence_deviation, equivalence_gate, manifest
 
-    encoder = compile_encoder(problem, planned.gd_plan, planned.plan, amortized=amortized)
+    encoder = compile_encoder(problem, planned.gd_plan, planned.plan)
     deviation, _ = equivalence_deviation(problem, planned, encoder, stream, draws=draws)
     return {**manifest(encoder, problem.model.generator), **equivalence_gate(deviation, draws)}

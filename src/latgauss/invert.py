@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DescentViolation, NumericalBlowup
-from .potential import PosteriorProblem, region_radius
+from .potential import PosteriorProblem, region_radius, start_radius
 
 
 GD_STEP_CAP_DEFAULT = 10**6  # descent steps a plan may take unless a caller sets the cap
@@ -66,7 +66,7 @@ def make_gd_plan(
     c = problem.constants
     d = problem.dim
     if delta is None:
-        delta = float(region_radius(problem)) / 4.0
+        delta = start_radius(float(region_radius(problem)))
     if delta <= 0:
         raise ValueError("delta must be positive")
     xnorm = float(np.linalg.norm(problem.x))

@@ -116,6 +116,13 @@ def region_radius(problem: PosteriorProblem) -> float:
     return (4.0 * problem.beta / problem.constants.m) * np.sqrt(q * logq)
 
 
+def start_radius(radius: float) -> float:
+    """rad/4 for a region of radius rad: the radius of the chain-start ball,
+    the descent's default accuracy, and the distance to the inverse that
+    check_inverse's residual bound m * rad/4 certifies."""
+    return radius / 4.0
+
+
 def beta0_threshold(problem: PosteriorProblem) -> float:
     """Largest observation-noise scale for which the region analysis applies."""
     c = problem.constants
@@ -156,18 +163,18 @@ def check_inverse(problem: PosteriorProblem, zhat: np.ndarray, validate: bool = 
         raise DimensionError(f"zhat must have shape ({problem.dim},)")
     residual = float(np.linalg.norm(problem.model.generator.eval_batch(zhat[None, :])[0] - problem.x))
     m = problem.constants.m
-    rad = float(region_radius(problem))
+    allowed = m * start_radius(float(region_radius(problem)))
     norm_bound = float(np.linalg.norm(problem.x)) / m
     if validate:
-        if residual > m * rad / 4.0 * (1.0 + 1e-9):
+        if residual > allowed * (1.0 + 1e-9):
             raise InitializationError(
                 "inverse residual exceeds m * rad/4; refine the inversion",
                 residual=residual,
-                allowed=m * rad / 4.0,
+                allowed=allowed,
             )
     return {
         "residual": residual,
-        "allowed_residual": m * rad / 4.0,
+        "allowed_residual": allowed,
         "norm": float(np.linalg.norm(zhat)),
         "norm_bound": norm_bound,
         "norm_bound_ok": bool(np.linalg.norm(zhat) <= norm_bound * (1.0 + 1e-9)),

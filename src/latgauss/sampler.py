@@ -207,7 +207,7 @@ def _uncapped_plan(problem: PosteriorProblem, region: RegionD) -> SamplerPlan:
     c = problem.constants
     eps = problem.epsilon
     rad = region.radius
-    init_radius = rad / 4.0
+    init_radius = potential.start_radius(rad)
     paper_horizon = (2.0 * rad) ** 2 * np.log(1.0 / eps)
     h = min(
         eps * problem.beta**2 / (c.M**2 + c.m**2),

@@ -75,6 +75,9 @@ def test_invert_tanh_matches_scalar_root(tmp_path):
         # network files whose dimensions disagree with d
         ({"generator": {"path": "t2.json"}, "d": 1, "beta": 0.1}, "generator.path 't2.json'"),
         ({"generator": {"path": "lin21.json"}, "d": 2, "beta": 0.1}, "generator.path 'lin21.json'"),
+        # the baked-x encoder is gone; the encoder takes x as input
+        ({"generator": {"builtin": "identity"}, "d": 1, "beta": 0.1, "compile": {"amortized": False}},
+         "compile.amortized must be true"),
     ],
 )
 def test_config_errors_emit_json(tmp_path, capsys, monkeypatch, raw, needle):

@@ -1,5 +1,6 @@
 import dataclasses
 import decimal
+import json
 import tempfile
 from decimal import Decimal
 from pathlib import Path
@@ -49,16 +50,17 @@ def test_step_network_exact():
         J = gen.jacobian_batch(z[None])[0]
         want[r] = c1 * z + c2 * J.T @ (gen.eval_batch(z[None])[0] - x)
 
-    sn = step_network(gen, c1, c2)  # amortized: input (z, x)
-    out = sn.eval_batch(np.concatenate([Z, np.broadcast_to(x, Z.shape)], axis=1))
+    xs = np.broadcast_to(x, Z.shape)
+    sn = step_network(gen, c1, c2)  # input (z, x)
+    out = sn.eval_batch(np.concatenate([Z, xs], axis=1))
     assert np.max(np.abs(out[:, :3] - want)) <= 1e-10
-    assert np.array_equal(out[:, 3:], np.broadcast_to(x, Z.shape))
+    assert np.array_equal(out[:, 3:], xs)
 
-    sn_fixed = step_network(gen, c1, c2, x_const=x, extra_carry=2)
+    # extra carry channels ride after x, unchanged
     carry = rng.normal(size=(6, 2))
-    out2 = sn_fixed.eval_batch(np.concatenate([Z, carry], axis=1))
+    out2 = step_network(gen, c1, c2, extra_carry=2).eval_batch(np.concatenate([Z, xs, carry], axis=1))
     assert np.max(np.abs(out2[:, :3] - want)) <= 1e-10
-    assert np.array_equal(out2[:, 3:], carry)
+    assert np.array_equal(out2[:, 3:], np.hstack([xs, carry]))
 
 
 def relative_gap(got, want):
@@ -126,9 +128,10 @@ def rounding_bound(net, inputs):
 @settings(max_examples=60, deadline=None)
 @given(gen=smooth_generators(), seed=st.integers(0, 2**32 - 1))
 def test_sweeps_match_reverse_mode(gen, seed):
-    # the compiled step is c1 z + c2 J^T (G(z) - x), amortized and with x
-    # baked in. The step network's function is held to reverse mode at 1e-9,
-    # and its float64 evaluation to that function within its rounding bound:
+    # the compiled step is c1 z + c2 J^T (G(z) - x), with a scaled x channel,
+    # and with an unscaled one followed by a carry. The step network's
+    # function is held to reverse mode at 1e-9, and its float64 evaluation to
+    # that function within its rounding bound:
     # a square-identity product a*b rounds to about u (|a| + |b|)^2, so where
     # stacked square layers reach 1e8, a correct sweep's float64 output sits
     # up to 3e-8 (relative) from reverse mode.
@@ -142,10 +145,10 @@ def test_sweeps_match_reverse_mode(gen, seed):
 
     scale = 1e3
     sx = np.broadcast_to(scale * x, Z.shape)
-    carry = draws.normal(size=(6, 2))
+    x_carry = np.hstack([np.broadcast_to(x, Z.shape), draws.normal(size=(6, 2))])
     cases = [
         (step_network(gen, c1, c2, x_scale=scale), np.hstack([Z, sx]), sx),
-        (step_network(gen, c1, c2, x_const=x, extra_carry=2), np.hstack([Z, carry]), carry),
+        (step_network(gen, c1, c2, extra_carry=2), np.hstack([Z, x_carry]), x_carry),
     ]
     for net, inputs, rides in cases:
         out = net.eval_batch(inputs)
@@ -187,10 +190,8 @@ def test_step_network_fixed_nets_match_reverse_mode(name):
     _, pullback = gen.vjp_batch(Z, gen.eval_batch(Z) - x)
     want = c1 * Z + c2 * pullback
 
-    amortized = step_network(gen, c1, c2).eval_batch(np.hstack([Z, np.broadcast_to(x, Z.shape)]))
-    assert np.max(np.abs(amortized[:, :d] - want)) <= 1e-9
-    baked = step_network(gen, c1, c2, x_const=x).eval_batch(Z)
-    assert np.max(np.abs(baked - want)) <= 1e-9
+    out = step_network(gen, c1, c2).eval_batch(np.hstack([Z, np.broadcast_to(x, Z.shape)]))
+    assert np.max(np.abs(out[:, :d] - want)) <= 1e-9
 
 
 @pytest.mark.parametrize("d", [1, 2, 4, 8])
@@ -213,10 +214,9 @@ def compiled_setup(d=2, gd_steps=40, langevin_steps=150):
     return problem, plan_truncated(problem, gd_steps, langevin_steps)
 
 
-@pytest.mark.parametrize("amortized", [True, False])
-def test_encoder_equivalence(amortized):
+def test_encoder_equivalence():
     problem, planned = compiled_setup()
-    enc = compile_encoder(problem, planned.gd_plan, planned.plan, amortized=amortized)
+    enc = compile_encoder(problem, planned.gd_plan, planned.plan)
     dev, _ = equivalence_deviation(problem, planned, enc, NoiseStream(20260819), draws=32)
     assert dev <= 1e-6
     # the sweep carries no cotangent bias, so no stage bias is a negative zero
@@ -225,12 +225,11 @@ def test_encoder_equivalence(amortized):
             assert not np.signbit(lay.bias[lay.bias == 0]).any()
 
 
-@pytest.mark.parametrize("amortized", [True, False])
-def test_encoder_inputs_start_where_the_chains_start(amortized):
+def test_encoder_inputs_start_where_the_chains_start():
     # the region's center plus the encoder's ball-noise input columns are the
     # direct chains' starts bit for bit, not only within the equivalence gate
     problem, planned = compiled_setup()
-    enc = compile_encoder(problem, planned.gd_plan, planned.plan, amortized=amortized)
+    enc = compile_encoder(problem, planned.gd_plan, planned.plan)
     draws = np.arange(16, dtype=np.uint64) * 3 + 1
     direct = initialize_batch(problem, planned.region, planned.plan, NoiseStream(4), planned.stages, draws)
     noise = encoder_inputs(enc, problem.x, NoiseStream(4), draws)[:, -problem.dim :]
@@ -245,11 +244,8 @@ def round_trip(enc, tmp):
     save_encoder(enc, first)
     enc2 = load_encoder(first)
     for field in dataclasses.fields(CompiledEncoder):
-        want, got = getattr(enc, field.name), getattr(enc2, field.name)
-        if field.name == "x" and want is not None:
-            assert np.array_equal(got, want)
-        elif field.name != "dlg":
-            assert got == want, field.name
+        if field.name != "dlg":
+            assert getattr(enc2, field.name) == getattr(enc, field.name), field.name
     save_encoder(enc2, second)
     assert second.read_bytes() == first.read_bytes()
     return enc2
@@ -257,15 +253,39 @@ def round_trip(enc, tmp):
 
 def test_encoder_round_trip_bitwise(tmp_path):
     problem, planned = compiled_setup()
-    for amortized in (True, False):  # x None, and x baked into the stages
-        enc = compile_encoder(problem, planned.gd_plan, planned.plan, amortized=amortized)
-        enc2 = round_trip(enc, tmp_path)
-        assert (enc2.x is None) == amortized
-        s = NoiseStream(5)
-        draws = np.arange(8, dtype=np.uint64)
-        assert np.array_equal(
-            run_encoder(enc, problem.x, s, draws), run_encoder(enc2, problem.x, s, draws)
-        )
+    enc = compile_encoder(problem, planned.gd_plan, planned.plan)
+    enc2 = round_trip(enc, tmp_path)
+    s = NoiseStream(5)
+    draws = np.arange(8, dtype=np.uint64)
+    assert np.array_equal(
+        run_encoder(enc, problem.x, s, draws), run_encoder(enc2, problem.x, s, draws)
+    )
+
+
+def test_load_encoder_rejects_baked_x_files(tmp_path):
+    # files from before baked-x encoders were removed carry "amortized" and
+    # "x"; the amortized ones still load, a baked one fails at load time
+    # naming the field, not later inside run_encoder
+    problem, planned = compiled_setup(gd_steps=2, langevin_steps=3)
+    enc = compile_encoder(problem, planned.gd_plan, planned.plan)
+    path = tmp_path / "enc.json"
+    save_encoder(enc, path)
+    doc = json.loads(path.read_text())
+    draws = np.arange(4, dtype=np.uint64)
+    want = run_encoder(enc, problem.x, NoiseStream(5), draws)
+    for legacy, field in [
+        ({"amortized": True, "x": None}, None),
+        ({"amortized": False, "x": None}, "amortized"),
+        ({"amortized": True, "x": [0.8, -0.4]}, "x"),
+        ({"amortized": False, "x": [0.8, -0.4]}, "x"),
+    ]:
+        path.write_text(json.dumps({**doc, **legacy}))
+        if field is None:
+            got = run_encoder(load_encoder(path), problem.x, NoiseStream(5), draws)
+            assert np.array_equal(got, want)
+        else:
+            with pytest.raises(ValueError, match=f"field '{field}'.*takes x as input"):
+                load_encoder(path)
 
 
 @st.composite
@@ -276,19 +296,15 @@ def smooth_encoders(draw):
     nets_ = draw(st.lists(smooth_generators(d=d), min_size=1, max_size=3))
     picks = draw(st.lists(st.integers(0, len(nets_) - 1), min_size=1, max_size=6))
     variances = draw(st.lists(st.sampled_from([0.0, 0.01, 0.3]), min_size=len(picks), max_size=len(picks)))
-    amortized = draw(st.booleans())
-    x = None if amortized else np.array(draw(st.lists(st.floats(-2, 2), min_size=d, max_size=d)))
     return CompiledEncoder(
         dlg=DeepLatentGaussian([(nets_[i], v) for i, v in zip(picks, variances)]),
         gd_stage_count=0,
         langevin_stage_count=len(picks),
         step_variance=0.01,
         eta=0.1,
-        amortized=amortized,
-        carry_scale=DEFAULT_CARRY_SCALE if amortized else 1.0,
+        carry_scale=DEFAULT_CARRY_SCALE,
         dim=d,
         init_radius=0.5,
-        x=x,
     )
 
 

@@ -21,15 +21,16 @@ def test_minimal_config_defaults():
     assert cfg.chains == 1000 and cfg.samples == 10_000
     assert cfg.out_dir == "out"
     assert cfg.experiments == [] and cfg.lowerbound_opts == {}
-    assert cfg.compile_opts == {"gd_steps": 10, "langevin_steps": 50, "amortized": True}
+    assert cfg.compile_opts == {"gd_steps": 10, "langevin_steps": 50}
 
 
 def test_compile_defaults_leave_raw_config_unchanged():
     # the report's config hash is taken over cfg.raw
-    raw = {**BASE, "compile": {"langevin_steps": 7}}
+    # (amortized: true, which older configs write, is accepted and dropped)
+    raw = {**BASE, "compile": {"langevin_steps": 7, "amortized": True}}
     cfg = parse_config(raw)
-    assert cfg.compile_opts == {"gd_steps": 10, "langevin_steps": 7, "amortized": True}
-    assert cfg.raw["compile"] == {"langevin_steps": 7}
+    assert cfg.compile_opts == {"gd_steps": 10, "langevin_steps": 7}
+    assert cfg.raw["compile"] == {"langevin_steps": 7, "amortized": True}
 
 
 @pytest.mark.parametrize("missing", ["generator", "d", "beta"])
@@ -140,6 +141,7 @@ TANH_CONSTANTS = {"m": 1, "M": 1.5, "M2": 0.385, "M3": 1}
         ({"constants": {**TANH_CONSTANTS, "M2": float("inf")}}, "M2"),
         ({"constants": {**TANH_CONSTANTS, "M3": float("inf")}}, "M3"),
         ({"constants": {**TANH_CONSTANTS, "m": True}}, "constants.m "),
+        ({"compile": {"amortized": False}}, "baked-x encoders were removed"),
     ],
 )
 def test_malformed_values_rejected(fields, needle):

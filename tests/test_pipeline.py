@@ -163,4 +163,3 @@ def test_compiled_vs_direct_experiment():
     assert rep["pass"]
     assert rep["max_relative_deviation"] <= 1e-6
     assert rep["total_stages"] == 20 + 80 + 3
-    assert rep["amortized"]
