@@ -256,7 +256,7 @@ def cmd_compile(cfg: RunConfig) -> int:
     report = _report_header(cfg, "compile")
     report.update(
         {
-            "manifest": manifest(encoder, problem.model.generator),
+            "manifest": manifest(encoder, problem.generator),
             "encoder_json": encoder_path,
             "self_test": {**gate, "round_trip_identical": round_trip_ok},
         }
@@ -307,7 +307,7 @@ def cmd_verify(cfg: RunConfig) -> int:
     if problem.dim == 1:
         report["chi2"] = chi2_initialization(problem, planned.region, planned.plan.init_radius)
 
-    linear = as_linear(problem.model.generator)
+    linear = as_linear(problem.generator)
     if linear is not None and problem.dim <= MAX_MOMENT_DIM:
         A, b = linear
         mean, cov = linear_posterior(A, b, problem.beta, problem.x)

@@ -334,7 +334,7 @@ def compile_encoder(
     gd_plan: GdPlan,
     plan: SamplerPlan,
 ) -> CompiledEncoder:
-    g = problem.model.generator
+    g = problem.generator
     d = problem.dim
     S, K = gd_plan.steps, plan.steps
     h = plan.h

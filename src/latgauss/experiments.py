@@ -151,4 +151,4 @@ def compiled_vs_direct_experiment(
 
     encoder = compile_encoder(problem, planned.gd_plan, planned.plan)
     deviation, _ = equivalence_deviation(problem, planned, encoder, stream, draws=draws)
-    return {**manifest(encoder, problem.model.generator), **equivalence_gate(deviation, draws)}
+    return {**manifest(encoder, problem.generator), **equivalence_gate(deviation, draws)}

@@ -83,23 +83,26 @@ def gd_invert(
     """Run the descent. Raises DescentViolation if any step breaks the
     adjusted descent inequality, NumericalBlowup on non-finite state.
 
+    Each iterate costs one vjp_batch call, which gives the residual
+    G(z) - x behind the objective and the gradient J^T (G(z) - x) together.
     With early_stop the loop ends once ||G(z) - x|| <= m * delta; switching it
     off runs exactly plan.steps steps, which is what the compiled encoder
     replays stage for stage.
     """
-    g = problem.model.generator
-    x = problem.x
+
+    def objective_and_gradient(z):
+        r, grad = problem.generator.vjp_batch(z[None, :], problem.x)
+        return 0.5 * float(r[0] @ r[0]), grad[0]
+
     m = problem.constants.m
     z = np.zeros(problem.dim)
 
     objectives = np.empty(plan.steps + 1)
     grad_norms = np.empty(plan.steps + 1)
 
-    r = g.eval_batch(z[None, :])[0] - x
-    obj = 0.5 * float(r @ r)
+    obj, grad = objective_and_gradient(z)
     steps_run = 0
     for s in range(plan.steps):
-        grad = g.vjp_batch(z[None, :], r[None, :])[1][0]
         gn = float(np.linalg.norm(grad))
         objectives[s] = obj
         grad_norms[s] = gn
@@ -108,8 +111,7 @@ def gd_invert(
         z_next = z - plan.eta * grad
         if not np.all(np.isfinite(z_next)):
             raise NumericalBlowup("non-finite descent iterate", step=s, state=z.tolist())
-        r_next = g.eval_batch(z_next[None, :])[0] - x
-        obj_next = 0.5 * float(r_next @ r_next)
+        obj_next, grad_next = objective_and_gradient(z_next)
         if obj_next > obj - gn**2 / (2.0 * plan.Q) + 1e-12 * max(1.0, obj):
             raise DescentViolation(
                 "descent inequality violated; curvature constant too small",
@@ -118,13 +120,11 @@ def gd_invert(
                 objective_next=obj_next,
                 Q=plan.Q,
             )
-        z, r, obj = z_next, r_next, obj_next
+        z, obj, grad = z_next, obj_next, grad_next
         steps_run = s + 1
 
     objectives[steps_run] = obj
-    grad_norms[steps_run] = float(
-        np.linalg.norm(g.vjp_batch(z[None, :], r[None, :])[1][0])
-    )
+    grad_norms[steps_run] = float(np.linalg.norm(grad))
     converged = bool(np.sqrt(2.0 * obj) <= m * plan.delta)
     return GdTrace(
         objectives=objectives[: steps_run + 1].copy(),

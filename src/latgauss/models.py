@@ -1,7 +1,7 @@
-"""Latent Gaussian models: single-stage and deep (stacked) variants.
+"""Deep latent Gaussian models, the form a compiled encoder takes. The
+single-stage model x = G(z) + beta*xi is potential.PosteriorProblem.
 
-A LatentGaussian draws z ~ N(0, I_d) and emits x = G(z) + beta*xi. A
-DeepLatentGaussian is a Markov chain of stages (network, variance): each stage
+A DeepLatentGaussian is a Markov chain of stages (network, variance): each stage
 applies its network and adds isotropic Gaussian noise of the given variance;
 zero-variance stages are deterministic. Stage noise is drawn at counter
 (stage = position in the chain, draw = sample index), so the same stream
@@ -22,31 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError
-from .nets import Network
 from .rng import normal_blocks
-
-
-@dataclass
-class LatentGaussian:
-    """Generator network plus observation noise scale beta > 0."""
-
-    generator: Network
-    beta: float
-
-    def __post_init__(self):
-        if self.beta <= 0:
-            raise ValueError(f"beta must be positive, got {self.beta}")
-        g = self.generator
-        if g.input_dim != g.output_dim:
-            raise DimensionError(
-                f"generator must map d to d, got {g.input_dim} -> {g.output_dim}"
-            )
-        if not g.smooth:
-            raise ValueError("generator must use smooth activations only")
-
-    @property
-    def dim(self) -> int:
-        return self.generator.input_dim
 
 
 @dataclass

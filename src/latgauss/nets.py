@@ -223,19 +223,20 @@ class Network:
             delta = delta @ layer.weight
         return delta
 
-    def vjp_batch(self, Z: np.ndarray, R: np.ndarray):
-        """(value, J^T r) per batch row without forming the Jacobian.
+    def vjp_batch(self, Z: np.ndarray, x: np.ndarray):
+        """(r, J^T r) per batch row for the residual r = G(z) - x, from one
+        forward and one backward pass and without forming the Jacobian.
 
-        R has shape (n, output_dim), or is a function taking the forward values
-        to it, so that a residual G(Z) - x costs one forward pass; the
-        returned pullback has shape (n, input_dim). This is the workhorse of
-        batched potential gradients.
+        x has shape (output_dim,); the residuals have shape (n, output_dim),
+        bit for bit eval_batch(Z) - x, and the pullbacks (n, input_dim). This
+        is the workhorse of batched potential gradients and of the descent.
         """
         value, tape = self._forward_tape(Z)
-        delta = np.asarray(R(value) if callable(R) else R, dtype=np.float64)
+        residual = value - x
+        delta = residual
         for layer, (u, a) in zip(reversed(self.layers), reversed(tape)):
             delta = _times_derivative(delta, u, a, layer.groups) @ layer.weight
-        return value, delta
+        return residual, delta
 
     # -- serialization ---------------------------------------------------------
 

@@ -21,9 +21,8 @@ import numpy as np
 
 from .errors import PlanTooLarge
 from .invert import GD_STEP_CAP_DEFAULT, GdPlan, GdTrace, gd_invert, make_gd_plan
-from .models import LatentGaussian
 from .nets import MapConstants, Network, estimate_constants
-from .potential import PosteriorProblem, RegionD, check_inverse, region
+from .potential import PosteriorProblem, RegionD, check_inverse, check_model, region
 from .sampler import (
     STEP_CAP_DEFAULT,
     ChainRun,
@@ -44,8 +43,9 @@ def build_problem(
     constants_seed: int = 0,
     constants_samples: int = 4096,
 ) -> PosteriorProblem:
-    """Problem with constants either supplied or estimated by sampling."""
-    model = LatentGaussian(generator, beta)
+    """Problem with constants either supplied or estimated by sampling.
+    check_model runs first, so a model outside the analysis costs no estimate."""
+    check_model(generator, beta)
     if constants is None:
         constants = estimate_constants(
             generator,
@@ -53,7 +53,7 @@ def build_problem(
             radius=4.0 + float(np.linalg.norm(x)),
             seed=constants_seed,
         )
-    return PosteriorProblem(model, x, constants, epsilon=epsilon)
+    return PosteriorProblem(generator, beta, x, constants, epsilon=epsilon)
 
 
 class PipelinePlan(NamedTuple):

@@ -1,7 +1,9 @@
 """Posterior potential of a latent Gaussian model and its local geometry.
 
-For observation x the latent posterior is p(z | x) proportional to exp(-L(z))
-with
+The model draws z ~ N(0, I_d) and observes x = G(z) + beta * xi with
+xi ~ N(0, I_d); a PosteriorProblem holds (G, beta, x) together with the
+constants of G and the mass tolerance eps. For observation x the latent
+posterior is p(z | x) proportional to exp(-L(z)) with
 
     L(z) = (||z||^2 + ||G(z) - x||^2 / beta^2) / 2.
 
@@ -24,23 +26,38 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, InitializationError, InvertibilityError
-from .models import LatentGaussian
-from .nets import MapConstants, _jacobian_at, _jacobian_differences
+from .nets import MapConstants, Network, _jacobian_at, _jacobian_differences
+
+
+def check_model(generator: Network, beta: float) -> None:
+    """Refuse a model the analysis does not cover: beta must be positive and
+    G a smooth map from R^d to R^d."""
+    if beta <= 0:
+        raise ValueError(f"beta must be positive, got {beta}")
+    if generator.input_dim != generator.output_dim:
+        raise DimensionError(
+            f"generator must map d to d, got {generator.input_dim} -> {generator.output_dim}"
+        )
+    if not generator.smooth:
+        raise ValueError("generator must use smooth activations only")
 
 
 @dataclass
 class PosteriorProblem:
-    """One inference instance: model, observation, constants, mass tolerance."""
+    """One inference instance: generator G, noise scale beta, observation x,
+    constants of G and mass tolerance."""
 
-    model: LatentGaussian
+    generator: Network
+    beta: float
     x: np.ndarray
     constants: MapConstants
     epsilon: float = 0.1
 
     def __post_init__(self):
+        check_model(self.generator, self.beta)
         self.x = np.asarray(self.x, dtype=np.float64)
-        if self.x.shape != (self.model.dim,):
-            raise DimensionError(f"x must have shape ({self.model.dim},), got {self.x.shape}")
+        if self.x.shape != (self.dim,):
+            raise DimensionError(f"x must have shape ({self.dim},), got {self.x.shape}")
         if not 0.0 < self.epsilon < 1.0:
             raise ValueError(f"epsilon must lie in (0, 1), got {self.epsilon}")
         if self.constants.m <= 0.0:
@@ -50,11 +67,7 @@ class PosteriorProblem:
 
     @property
     def dim(self) -> int:
-        return self.model.dim
-
-    @property
-    def beta(self) -> float:
-        return self.model.beta
+        return self.generator.input_dim
 
 
 @dataclass
@@ -71,15 +84,14 @@ class RegionD:
 
 def potential_batch(problem: PosteriorProblem, Z: np.ndarray) -> np.ndarray:
     Z = np.asarray(Z, dtype=np.float64)
-    R = problem.model.generator.eval_batch(Z) - problem.x
+    R = problem.generator.eval_batch(Z) - problem.x
     return 0.5 * (np.sum(Z * Z, axis=1) + np.sum(R * R, axis=1) / problem.beta**2)
 
 
 def grad_potential_batch(problem: PosteriorProblem, Z: np.ndarray) -> np.ndarray:
     """grad L(z) = z + J_G(z)^T (G(z) - x) / beta^2, batched via one backward pass."""
-    g = problem.model.generator
     Z = np.asarray(Z, dtype=np.float64)
-    _, pullback = g.vjp_batch(Z, lambda values: values - problem.x)
+    _, pullback = problem.generator.vjp_batch(Z, problem.x)
     return Z + pullback / problem.beta**2
 
 
@@ -90,7 +102,7 @@ def hess_potential(problem: PosteriorProblem, z: np.ndarray) -> np.ndarray:
     differences of the exact Jacobian behind second_derivative_tensor; the
     result is symmetrized.
     """
-    g = problem.model.generator
+    g = problem.generator
     z = np.asarray(z, dtype=np.float64)
     J = _jacobian_at(g, z)
     r = g.eval_batch(z[None, :])[0] - problem.x
@@ -161,7 +173,7 @@ def check_inverse(problem: PosteriorProblem, zhat: np.ndarray, validate: bool = 
     zhat = np.asarray(zhat, dtype=np.float64)
     if zhat.shape != (problem.dim,):
         raise DimensionError(f"zhat must have shape ({problem.dim},)")
-    residual = float(np.linalg.norm(problem.model.generator.eval_batch(zhat[None, :])[0] - problem.x))
+    residual = float(np.linalg.norm(problem.generator.eval_batch(zhat[None, :])[0] - problem.x))
     m = problem.constants.m
     allowed = m * start_radius(float(region_radius(problem)))
     norm_bound = float(np.linalg.norm(problem.x)) / m
@@ -191,7 +203,7 @@ def refine_inverse(problem: PosteriorProblem, z0: np.ndarray) -> np.ndarray:
     remainder, Hessian at the inverse) are only testable against a polished
     point.
     """
-    g = problem.model.generator
+    g = problem.generator
     z = np.asarray(z0, dtype=np.float64).copy()
     for _ in range(60):
         r = g.eval_batch(z[None, :])[0] - problem.x
@@ -231,7 +243,7 @@ def taylor_remainder_check(
         (sqrt(d) M / (2 beta^2)) * (3 sqrt(d) M2 + M3 ||z - zhat||) * ||z - zhat||^2.
     """
     c = problem.constants
-    g = problem.model.generator
+    g = problem.generator
     z = np.asarray(z, dtype=np.float64)
     zhat = np.asarray(zhat, dtype=np.float64)
     d = problem.dim

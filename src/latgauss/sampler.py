@@ -151,7 +151,7 @@ def region_curvature(problem: PosteriorProblem, region: RegionD, init_radius: fl
     c = problem.constants
     beta2 = problem.beta**2
     center = region.center
-    residual = problem.model.generator.eval_batch(center[None, :])[0] - problem.x
+    residual = problem.generator.eval_batch(center[None, :])[0] - problem.x
     r_G = float(np.linalg.norm(residual) + c.M * region.radius)
     alpha = float(1.0 + (c.m**2 - c.M2 * r_G) / beta2)
     smooth = float(1.0 + (c.M**2 + c.M2 * r_G) / beta2)

@@ -1,7 +1,6 @@
 import numpy as np
 from hypothesis import strategies as st
 
-from latgauss.models import LatentGaussian
 from latgauss.nets import Layer, MapConstants, Network, identity_net, scale_net, tanh_residual_net
 from latgauss.potential import PosteriorProblem, grad_potential_batch
 
@@ -33,27 +32,24 @@ def grad_at(problem, z):
 def identity_problem(d=1, beta=0.1, x=None, epsilon=0.1):
     if x is None:
         x = np.full(d, 0.9)
-    model = LatentGaussian(identity_net(d), beta)
     return PosteriorProblem(
-        model, np.asarray(x, dtype=float), MapConstants(1, 1, 0, 0), epsilon=epsilon
+        identity_net(d), beta, np.asarray(x, dtype=float), MapConstants(1, 1, 0, 0), epsilon=epsilon
     )
 
 
 def scale_problem(a=2.0, d=1, beta=0.25, x=None, epsilon=0.1):
     if x is None:
         x = np.full(d, 1.0)
-    model = LatentGaussian(scale_net(d, a), beta)
     return PosteriorProblem(
-        model, np.asarray(x, dtype=float), MapConstants(a, a, 0, 0), epsilon=epsilon
+        scale_net(d, a), beta, np.asarray(x, dtype=float), MapConstants(a, a, 0, 0), epsilon=epsilon
     )
 
 
 def tanh_problem(d=1, beta=0.1, x=None, epsilon=0.1, alpha=0.5):
     if x is None:
         x = np.full(d, 0.9)
-    model = LatentGaussian(tanh_residual_net(d, alpha), beta)
     return PosteriorProblem(
-        model, np.asarray(x, dtype=float), tanh_constants(alpha), epsilon=epsilon
+        tanh_residual_net(d, alpha), beta, np.asarray(x, dtype=float), tanh_constants(alpha), epsilon=epsilon
     )
 
 

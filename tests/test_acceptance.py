@@ -30,7 +30,6 @@ from latgauss.lowerbound import (
     sample_x,
     sign_pattern,
 )
-from latgauss.models import LatentGaussian
 from latgauss.nets import MapConstants, estimate_constants
 from latgauss.pipeline import build_problem, plan_pipeline, plan_truncated
 from latgauss.potential import (
@@ -87,9 +86,8 @@ def random_smooth_problem(i):
         net = nets.random_smooth_net(d, seed=i, hidden=d + 3)
     beta = 0.05 + 0.45 * rng.uniform()
     x = 0.8 * rng.normal(size=net.output_dim)
-    model = LatentGaussian(net, beta)
     # placeholder constants: derivative checks do not read them
-    return PosteriorProblem(model, x, MapConstants(1.0, 2.0, 1.0, 1.0)), rng
+    return PosteriorProblem(net, beta, x, MapConstants(1.0, 2.0, 1.0, 1.0)), rng
 
 
 def test_gradient_and_hessian_match_finite_differences():
@@ -134,7 +132,7 @@ def test_inversion_reaches_oracle_with_monotone_descent():
         x = 0.6 * rng.normal(size=d)
         c = estimate_constants(net, sample_count=500,
                                radius=3.0 + float(np.linalg.norm(x)), seed=i)
-        problem = PosteriorProblem(LatentGaussian(net, 0.1), x, c)
+        problem = PosteriorProblem(net, 0.1, x, c)
         plan = make_gd_plan(problem)
         trace = gd_invert(problem, plan)
         assert trace.converged, f"problem {i} did not converge in {plan.steps} steps"

@@ -140,7 +140,7 @@ def test_sweeps_match_reverse_mode(gen, seed):
     Z = draws.normal(size=(6, d))
     x = draws.normal(size=d)
     c1, c2 = 0.97, -0.05
-    _, pullback = gen.vjp_batch(Z, gen.eval_batch(Z) - x)
+    _, pullback = gen.vjp_batch(Z, x)
     want = c1 * Z + c2 * pullback
 
     scale = 1e3
@@ -187,7 +187,7 @@ def test_step_network_fixed_nets_match_reverse_mode(name):
     Z = draws.normal(size=(9, d)) * 0.7
     x = draws.normal(size=d)
     c1, c2 = 0.97, -0.05
-    _, pullback = gen.vjp_batch(Z, gen.eval_batch(Z) - x)
+    _, pullback = gen.vjp_batch(Z, x)
     want = c1 * Z + c2 * pullback
 
     out = step_network(gen, c1, c2).eval_batch(np.hstack([Z, np.broadcast_to(x, Z.shape)]))
@@ -338,13 +338,13 @@ def test_encoder_samples_do_not_depend_on_noise_block_size(monkeypatch):
 def test_manifest_fields():
     problem, planned = compiled_setup(gd_steps=5, langevin_steps=10)
     enc = compile_encoder(problem, planned.gd_plan, planned.plan)
-    m = manifest(enc, problem.model.generator)
+    m = manifest(enc, problem.generator)
     assert m["gd_stage_count"] == 5
     assert m["langevin_stage_count"] == 10
     assert m["total_stages"] == 5 + 10 + 3
     assert m["input_dim"] == 3 * problem.dim  # (z0, x, noise channel)
     assert m["output_dim"] == problem.dim
     assert m["parameter_count"] > 0
-    assert m["generator_params"] == problem.model.generator.size() == 4 * problem.dim
+    assert m["generator_params"] == problem.generator.size() == 4 * problem.dim
     assert m["gd_stage_params"] == enc.dlg.stages[1][0].size()
     assert m["langevin_stage_params"] == enc.dlg.stages[5 + 2][0].size() == 24 * problem.dim

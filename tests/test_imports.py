@@ -9,6 +9,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 README_CONFIG = {
@@ -33,15 +35,24 @@ def test_cli_import_loads_no_scipy():
     assert scipy_modules_after("import latgauss.cli") == []
 
 
-def test_invert_on_the_readme_config_loads_no_scipy(tmp_path):
+def step_on_the_readme_config_loads_no_scipy(step, tmp_path):
     config = tmp_path / "run.json"
     config.write_text(json.dumps(README_CONFIG))
     code = (
         "from latgauss.cli import main\n"
-        f"assert main(['invert', '--config', {str(config)!r}, '--out', {str(tmp_path / 'out')!r}]) == 0\n"
+        f"assert main([{step!r}, '--config', {str(config)!r}, '--out', {str(tmp_path / 'out')!r}]) == 0\n"
     )
     assert scipy_modules_after(code) == []
-    assert (tmp_path / "out" / "invert_report.json").exists()
+    assert (tmp_path / "out" / f"{step}_report.json").exists()
+
+
+def test_invert_on_the_readme_config_loads_no_scipy(tmp_path):
+    step_on_the_readme_config_loads_no_scipy("invert", tmp_path)
+
+
+@pytest.mark.parametrize("step", ["compile", "verify"])
+def test_compile_and_verify_on_the_readme_config_load_no_scipy(step, tmp_path):
+    step_on_the_readme_config_loads_no_scipy(step, tmp_path)
 
 
 def test_only_a_bulk_request_loads_scipy_special():

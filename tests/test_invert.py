@@ -1,10 +1,10 @@
 import numpy as np
+import pytest
 from scipy.optimize import brentq
 
 from conftest import identity_problem, tanh_problem
 from latgauss.invert import gd_invert, make_gd_plan
-from latgauss.models import LatentGaussian
-from latgauss.nets import estimate_constants, random_residual_tanh_net
+from latgauss.nets import Network, estimate_constants, random_residual_tanh_net
 from latgauss.potential import PosteriorProblem, region_radius
 
 
@@ -47,7 +47,7 @@ def test_monotone_descent_and_residual_gate():
         gen = random_residual_tanh_net(d, seed=seed)
         consts = estimate_constants(gen, sample_count=600, radius=4.0, seed=seed)
         x = gen.eval_batch(np.random.default_rng(seed).normal(size=(1, d)) * 0.8)[0]
-        prob = PosteriorProblem(LatentGaussian(gen, 0.1), x, consts, epsilon=0.1)
+        prob = PosteriorProblem(gen, 0.1, x, consts, epsilon=0.1)
         plan = make_gd_plan(prob)
         trace = gd_invert(prob, plan)
         assert trace.converged
@@ -62,6 +62,27 @@ def test_early_stop_off_runs_every_step():
     trace = gd_invert(prob, plan, early_stop=False)
     assert trace.steps_run == plan.steps
     assert trace.converged
+
+
+@pytest.mark.parametrize("early_stop", [True, False])
+def test_descent_makes_one_network_pass_per_iterate(monkeypatch, early_stop):
+    # each iterate's vjp_batch gives both its objective and its gradient
+    calls = []
+
+    def spy(name):
+        real = getattr(Network, name)
+
+        def counted(self, *args):
+            calls.append(name)
+            return real(self, *args)
+
+        return counted
+
+    for name in ("eval_batch", "vjp_batch"):
+        monkeypatch.setattr(Network, name, spy(name))
+    prob = tanh_problem(d=2, x=[0.7, -0.2])
+    trace = gd_invert(prob, make_gd_plan(prob), early_stop=early_stop)
+    assert calls == ["vjp_batch"] * (trace.steps_run + 1)
 
 
 def test_delta_defaults_to_quarter_radius():

@@ -4,7 +4,6 @@ import pytest
 from latgauss.errors import DimensionError
 from latgauss.models import (
     DeepLatentGaussian,
-    LatentGaussian,
     sample_dlg_batch,
     write_samples_csv,
 )
@@ -22,13 +21,6 @@ def sample_dlg(model, inp, stream, draw=0):
             noise = stream.normal_matrix(s, np.array([draw], dtype=np.uint64), state.shape[1])
             state = state + np.sqrt(var) * noise
     return state[0]
-
-
-def test_latent_gaussian_validation():
-    with pytest.raises(ValueError):
-        LatentGaussian(identity_net(2), beta=0.0)
-    with pytest.raises(DimensionError):
-        LatentGaussian(linear_net(np.ones((2, 3)), np.zeros(2)), beta=0.1)
 
 
 def test_dlg_stage_chaining_and_eval():

@@ -77,12 +77,11 @@ def test_jacobian_batch_matches_single():
 def test_vjp_matches_jacobian():
     net = random_residual_tanh_net(3, seed=2)
     Z = rng.normal(size=(5, 3))
-    V = rng.normal(size=(5, net.output_dim))
-    value, got = net.vjp_batch(Z, V)
-    J = net.jacobian_batch(Z)
-    want = np.einsum("bi,bij->bj", V, J)
+    x = rng.normal(size=net.output_dim)
+    residual, got = net.vjp_batch(Z, x)
+    assert np.array_equal(residual, net.eval_batch(Z) - x)
+    want = np.einsum("bi,bij->bj", net.eval_batch(Z) - x, net.jacobian_batch(Z))
     assert np.allclose(got, want, atol=1e-12)
-    assert np.allclose(value, net.eval_batch(Z), atol=1e-15)
 
 
 def test_eval_batch_matches_single():

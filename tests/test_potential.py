@@ -2,8 +2,12 @@ import numpy as np
 import pytest
 
 from conftest import grad_at, identity_problem, scale_problem, tanh_problem
-from latgauss.errors import InitializationError
+from latgauss import pipeline
+from latgauss.errors import DimensionError, InitializationError
+from latgauss.lowerbound import SignGenerator, generator_network
+from latgauss.nets import MapConstants, identity_net, linear_net
 from latgauss.potential import (
+    PosteriorProblem,
     beta0_threshold,
     check_inverse,
     diagnostics_report,
@@ -94,7 +98,51 @@ def test_check_inverse_rejects_bad_point():
 def test_refine_inverse_newton():
     prob = tanh_problem(d=2, x=[0.7, -0.2])
     z = refine_inverse(prob, np.zeros(2))
-    assert np.linalg.norm(prob.model.generator.eval_batch(z[None])[0] - prob.x) <= 1e-12
+    assert np.linalg.norm(prob.generator.eval_batch(z[None])[0] - prob.x) <= 1e-12
+
+
+def test_refine_inverse_falls_back_to_least_squares(monkeypatch):
+    # z -> 3z at x = 5e4 + 1/3: neither float next to x/3 maps to x, and
+    # Newton alternates between the two with residuals of -+ one ulp of x
+    # (7.3e-12), so its 60 steps run out above 1e-13 and least squares takes
+    # over; the best it can return is a point one ulp of x off
+    import scipy.optimize
+
+    calls = []
+    least_squares = scipy.optimize.least_squares
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return least_squares(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.optimize, "least_squares", spy)
+    prob = scale_problem(a=3.0, x=[5e4 + 1 / 3])
+    z = refine_inverse(prob, np.zeros(1))
+    assert len(calls) == 1
+    assert abs(prob.generator.eval_batch(z[None])[0, 0] - prob.x[0]) <= np.spacing(prob.x[0])
+
+
+# (G, beta, error, message) for models outside the analysis
+BAD_MODELS = [
+    (identity_net(2), 0.0, ValueError, "beta must be positive"),
+    (linear_net(np.ones((2, 3)), np.zeros(2)), 0.1, DimensionError, "must map d to d"),
+    (generator_network(SignGenerator(d=2, beta=0.1)), 0.1, ValueError, "smooth activations"),
+]
+
+
+@pytest.mark.parametrize("net, beta, error, message", BAD_MODELS)
+def test_problem_refuses_models_outside_the_analysis(net, beta, error, message):
+    with pytest.raises(error, match=message):
+        PosteriorProblem(net, beta, np.zeros(net.output_dim), MapConstants(1, 1, 0, 0))
+
+
+@pytest.mark.parametrize("net, beta, error, message", BAD_MODELS)
+def test_build_problem_refuses_models_before_estimating_constants(monkeypatch, net, beta, error, message):
+    calls = []
+    monkeypatch.setattr(pipeline, "estimate_constants", lambda *args, **kwargs: calls.append(args))
+    with pytest.raises(error, match=message):
+        pipeline.build_problem(net, beta, np.zeros(net.output_dim))
+    assert calls == []
 
 
 def test_taylor_remainder_zero_for_linear():

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from conftest import grad_at, identity_problem, residual_constants, tanh_constants, tanh_problem
 from latgauss import rng, sampler
 from latgauss.errors import DegeneratePlan, NumericalBlowup, PlanTooLarge
-from latgauss.models import LatentGaussian
 from latgauss.nets import MapConstants, random_residual_tanh_net, tanh_residual_net
 from latgauss.pipeline import build_problem, plan_pipeline, run_planned_chains
 from latgauss.potential import (
@@ -86,7 +85,7 @@ def test_horizon_formula():
 def test_flat_region_keeps_the_paper_horizon():
     # M2 r_G above m^2: the bounds leave D no more curved than the prior
     net = tanh_residual_net(1, 0.5)
-    prob = PosteriorProblem(LatentGaussian(net, 0.1), np.array([0.9]), MapConstants(1.0, 1.5, 3.0, 1.0))
+    prob = PosteriorProblem(net, 0.1, np.array([0.9]), MapConstants(1.0, 1.5, 3.0, 1.0))
     reg = prepared(prob)
     plan = make_sampler_plan(prob, reg)
     cv = plan.curvature
@@ -146,7 +145,7 @@ def test_curvature_bounds_hold_on_the_region(monkeypatch, kind, d, alpha, beta, 
     else:
         net, constants = random_residual_tanh_net(d, seed, alpha), residual_constants(alpha)
     x = np.random.default_rng(seed).uniform(-1.0, 1.0, d)
-    prob = PosteriorProblem(LatentGaussian(net, beta), x, constants, epsilon=eps)
+    prob = PosteriorProblem(net, beta, x, constants, epsilon=eps)
     planned = plan_pipeline(prob)
     reg, plan = planned.region, planned.plan
     cv = plan.curvature
@@ -354,7 +353,7 @@ def split_setup():
     # dense weights, where one-row and many-row products can round apart;
     # a radius of 0.1 against a diffusion of about 0.28 makes chains exit
     net = random_residual_tanh_net(2, seed=2, alpha=0.3)
-    prob = PosteriorProblem(LatentGaussian(net, 0.1), np.array([0.5, 0.5]), MapConstants(0.7, 1.3, 0.3, 0.6))
+    prob = PosteriorProblem(net, 0.1, np.array([0.5, 0.5]), MapConstants(0.7, 1.3, 0.3, 0.6))
     reg = synthetic_region(refine_inverse(prob, np.zeros(2)), 0.1)
     return prob, reg, PipelineStages(3)
 
